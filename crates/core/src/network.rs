@@ -34,7 +34,7 @@ enum HealthMode {
 /// detection (exhausted retransmission budgets) escalates to a
 /// `NetworkDead` verdict; the lock backends and the dynamic pool observe it
 /// to fail over to the software path. A scheduled repair moves it to
-/// `Untrusted`, and the fail-back state machine in the failover backend
+/// `Untrusted`, and the fail-back controller of a statically mapped GLock
 /// promotes it back to `Healthy` once its probe hysteresis is satisfied —
 /// so under intermittent faults the cycle can repeat.
 #[derive(Debug)]
@@ -94,7 +94,7 @@ impl NetworkHealth {
     }
 
     /// Fail-back commit: the probe hysteresis is satisfied; the hardware
-    /// path is trusted again. Called by the failover backend.
+    /// path is trusted again. Called by the lock's fail-back controller.
     pub fn mark_trusted(&self) {
         self.mode.set(HealthMode::Healthy);
     }
@@ -275,7 +275,7 @@ impl GlockNetwork {
         }
     }
 
-    /// This network's liveness handle (shared with the failover backends).
+    /// This network's liveness handle (shared with the lock drivers).
     pub fn health(&self) -> Rc<NetworkHealth> {
         Rc::clone(&self.health)
     }

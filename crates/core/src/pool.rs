@@ -106,8 +106,8 @@ impl GlockPool {
     }
 
     /// The register file of physical lock `k`.
-    pub fn regs(&self, k: usize) -> Rc<GlockRegisters> {
-        Rc::clone(&self.regs[k])
+    pub fn regs(&self, k: usize) -> &GlockRegisters {
+        &self.regs[k]
     }
 
     /// Attach the physical networks' liveness handles (index-aligned with
@@ -125,8 +125,8 @@ impl GlockPool {
     /// Whether physical lock `k`'s network is fully trusted. A
     /// repaired-but-untrusted network is excluded from binding just like a
     /// dead one: pool bindings carry no fail-back probe machinery, so an
-    /// untrusted pool network is simply never bound again (the per-lock
-    /// failover backends are the ones that earn trust back).
+    /// untrusted pool network is simply never bound again (only statically
+    /// mapped GLocks earn trust back, through their fail-back controller).
     pub fn is_trusted(&self, k: usize) -> bool {
         self.healths.borrow().get(k).is_none_or(|h| h.is_trusted())
     }

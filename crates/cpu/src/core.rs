@@ -583,9 +583,6 @@ mod tests {
         fn release(&self, _tid: ThreadId) -> Box<dyn Script> {
             Box::new(FixedScript::new(self.0))
         }
-        fn name(&self) -> &'static str {
-            "fixed"
-        }
     }
 
     struct FixedBarrier(u64);
@@ -735,9 +732,6 @@ mod tests {
         }
         fn release(&self, _tid: ThreadId) -> Box<dyn Script> {
             Box::new(FixedScript::new(1))
-        }
-        fn name(&self) -> &'static str {
-            "stuck"
         }
     }
 

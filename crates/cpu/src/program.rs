@@ -111,8 +111,6 @@ pub trait Workload {
 pub trait LockBackend {
     fn acquire(&self, tid: ThreadId) -> Box<dyn Script>;
     fn release(&self, tid: ThreadId) -> Box<dyn Script>;
-    /// Short name for reports ("MCS", "GLock", "TATAS", ...).
-    fn name(&self) -> &'static str;
 
     /// Serialize the backend's shared state (queues, counters, regime
     /// flags). Per-thread script positions are saved separately through

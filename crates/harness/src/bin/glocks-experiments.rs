@@ -8,7 +8,7 @@
 //!
 //! EXPERIMENT: all | fig1 | fig7 | fig8 | fig9 | fig10
 //!           | table1 | table2 | table3 | table4 | ablations | multiprog
-//!           | faults | chaos | service | scale | fuzz
+//!           | faults | chaos | service | scale | stats | fuzz
 //! --quick            reduced input sizes (seconds instead of minutes)
 //! --threads N        CMP size for the main experiments (default 32)
 //! --mesh WxH         explicit mesh floor plan for every run (W*H must
@@ -37,7 +37,8 @@
 //! recorded as a `failed` journal row and the rest of the sweep proceeds.
 //! Failed runs print their structured errors after the sweep, in selection
 //! order. Exit code: 0 = all done, 1 = any deterministic failure,
-//! 2 = transient wedges only.
+//! 2 = transient wedges only, or a usage error (an unknown experiment, a
+//! missing or malformed flag value) caught before anything runs.
 //!
 //! `--inject-panic NAME` / `--inject-wedge NAME` are self-test hooks (used
 //! by the CI kill-and-resume smoke) that make experiment NAME panic or
@@ -69,6 +70,44 @@ use std::time::Instant;
 
 /// Per-experiment trace-ring capacity when `--chrome-trace` is active.
 const TRACE_CAP: usize = 1 << 16;
+
+/// Every experiment name the CLI accepts (`all` expands to the paper set).
+const EXPERIMENTS: [&str; 18] = [
+    "all", "fig1", "fig7", "fig8", "fig9", "fig10", "table1", "table2", "table3", "table4",
+    "ablations", "multiprog", "faults", "chaos", "service", "scale", "stats", "fuzz",
+];
+
+fn usage_line() -> String {
+    format!(
+        "usage: glocks-experiments [{}]... [--quick] [--threads N] [--mesh WxH] [--dense] \
+         [--watchdog-cycles N] [--csv DIR] [--stats-json DIR] [--chrome-trace FILE] [--jobs N] \
+         [--journal FILE] [--resume] [--timeout-secs N] [--retries N] [--backoff-ms N] \
+         [--seed N] [--plans K] [--fuzz-out DIR] [--replay FILE] [--synthetic-bug]",
+        EXPERIMENTS.join("|")
+    )
+}
+
+fn usage() -> ! {
+    eprintln!("{}", usage_line());
+    std::process::exit(2)
+}
+
+fn bad_value(flag: &str, what: &str) -> ! {
+    eprintln!("{flag} needs {what}");
+    usage()
+}
+
+/// The value following the flag at `args[*i]`, advancing past it.
+fn value(args: &[String], i: &mut usize) -> String {
+    *i += 1;
+    args.get(*i).cloned().unwrap_or_else(|| bad_value(&args[*i - 1], "a value"))
+}
+
+/// The flag's value parsed as a number (`what` names it in the error).
+fn number<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str) -> T {
+    let v = value(args, i);
+    v.parse().unwrap_or_else(|_| bad_value(&args[*i - 1], what))
+}
 
 struct Cli {
     opts: ExpOptions,
@@ -269,7 +308,7 @@ fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
                 }
             }
         }
-        other => eprintln!("unknown experiment: {other}"),
+        other => unreachable!("experiment names are checked before the sweep: {other}"),
     }
     if let Some(dir) = &cli.stats_dir {
         let records = glocks_stats::selfprof::drain();
@@ -317,125 +356,65 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => cli.opts.quick = true,
-            "--threads" => {
-                i += 1;
-                cli.opts.threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--threads needs a number");
-            }
-            "--csv" => {
-                i += 1;
-                cli.csv_dir = Some(args.get(i).expect("--csv needs a directory").clone());
-            }
-            "--stats-json" => {
-                i += 1;
-                cli.stats_dir =
-                    Some(args.get(i).expect("--stats-json needs a directory").clone());
-            }
-            "--chrome-trace" => {
-                i += 1;
-                cli.chrome_trace =
-                    Some(args.get(i).expect("--chrome-trace needs a file").clone());
-            }
+            "--threads" => cli.opts.threads = number(&args, &mut i, "a number"),
+            "--csv" => cli.csv_dir = Some(value(&args, &mut i)),
+            "--stats-json" => cli.stats_dir = Some(value(&args, &mut i)),
+            "--chrome-trace" => cli.chrome_trace = Some(value(&args, &mut i)),
             "--jobs" => {
-                i += 1;
-                cli.jobs = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .expect("--jobs needs a number >= 1");
+                cli.jobs = number(&args, &mut i, "a number >= 1");
+                if cli.jobs == 0 {
+                    bad_value("--jobs", "a number >= 1");
+                }
             }
             "--watchdog-cycles" => {
-                i += 1;
-                cli.watchdog = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--watchdog-cycles needs a number of cycles"),
-                );
+                cli.watchdog = Some(number(&args, &mut i, "a number of cycles"));
             }
             "--mesh" => {
-                i += 1;
-                let v = args.get(i).expect("--mesh needs a WxH shape");
-                cli.mesh = Some(exp::parse_mesh(v).unwrap_or_else(|e| panic!("{e}")));
+                let v = value(&args, &mut i);
+                cli.mesh = Some(exp::parse_mesh(&v).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    usage()
+                }));
             }
             "--dense" => cli.dense = true,
-            "--journal" => {
-                i += 1;
-                cli.journal = Some(PathBuf::from(args.get(i).expect("--journal needs a file")));
-            }
+            "--journal" => cli.journal = Some(PathBuf::from(value(&args, &mut i))),
             "--resume" => cli.resume = true,
             "--timeout-secs" => {
-                i += 1;
-                cli.timeout_secs = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--timeout-secs needs a number of seconds"),
-                );
+                cli.timeout_secs = Some(number(&args, &mut i, "a number of seconds"));
             }
-            "--retries" => {
-                i += 1;
-                cli.retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--retries needs a number");
-            }
-            "--backoff-ms" => {
-                i += 1;
-                cli.backoff_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .expect("--backoff-ms needs a number of milliseconds");
-            }
+            "--retries" => cli.retries = number(&args, &mut i, "a number"),
+            "--backoff-ms" => cli.backoff_ms = number(&args, &mut i, "a number of milliseconds"),
             "--seed" => {
-                i += 1;
-                cli.fuzz_seed = args
-                    .get(i)
-                    .and_then(|s| {
-                        let s = s.trim();
-                        s.strip_prefix("0x")
-                            .or_else(|| s.strip_prefix("0X"))
-                            .map_or_else(|| s.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
-                    })
-                    .expect("--seed needs a number (decimal or 0x hex)");
+                let v = value(&args, &mut i);
+                let v = v.trim();
+                cli.fuzz_seed = v
+                    .strip_prefix("0x")
+                    .or_else(|| v.strip_prefix("0X"))
+                    .map_or_else(|| v.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
+                    .unwrap_or_else(|| bad_value("--seed", "a number (decimal or 0x hex)"));
             }
             "--plans" => {
-                i += 1;
-                cli.fuzz_plans = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .expect("--plans needs a number >= 1");
+                cli.fuzz_plans = number(&args, &mut i, "a number >= 1");
+                if cli.fuzz_plans == 0 {
+                    bad_value("--plans", "a number >= 1");
+                }
             }
-            "--fuzz-out" => {
-                i += 1;
-                cli.fuzz_out =
-                    Some(args.get(i).expect("--fuzz-out needs a directory").clone());
-            }
-            "--replay" => {
-                i += 1;
-                cli.fuzz_replay = Some(args.get(i).expect("--replay needs a file").clone());
-            }
+            "--fuzz-out" => cli.fuzz_out = Some(value(&args, &mut i)),
+            "--replay" => cli.fuzz_replay = Some(value(&args, &mut i)),
             "--synthetic-bug" => cli.synthetic_bug = true,
-            "--inject-panic" => {
-                i += 1;
-                cli.inject_panic =
-                    Some(args.get(i).expect("--inject-panic needs an experiment name").clone());
-            }
-            "--inject-wedge" => {
-                i += 1;
-                cli.inject_wedge =
-                    Some(args.get(i).expect("--inject-wedge needs an experiment name").clone());
-            }
+            "--inject-panic" => cli.inject_panic = Some(value(&args, &mut i)),
+            "--inject-wedge" => cli.inject_wedge = Some(value(&args, &mut i)),
             "--help" | "-h" => {
-                println!(
-                    "usage: glocks-experiments [all|fig1|fig7|fig8|fig9|fig10|table1|table2|table3|table4|ablations|multiprog|faults|chaos|service|scale|stats|fuzz]... [--quick] [--threads N] [--mesh WxH] [--dense] [--watchdog-cycles N] [--csv DIR] [--stats-json DIR] [--chrome-trace FILE] [--jobs N] [--journal FILE] [--resume] [--timeout-secs N] [--retries N] [--backoff-ms N] [--seed N] [--plans K] [--fuzz-out DIR] [--replay FILE] [--synthetic-bug]"
-                );
+                println!("{}", usage_line());
                 return;
             }
             other => selected.push(other.to_string()),
         }
         i += 1;
+    }
+    if let Some(bad) = selected.iter().find(|s| !EXPERIMENTS.contains(&s.as_str())) {
+        eprintln!("unknown experiment: {bad}");
+        usage();
     }
     if selected.is_empty() || selected.iter().any(|s| s == "all") {
         selected = [
@@ -452,7 +431,7 @@ fn main() {
 
     if cli.resume && cli.journal.is_none() {
         eprintln!("--resume needs --journal FILE to know what is already done");
-        std::process::exit(2);
+        usage();
     }
 
     let sweep_start = Instant::now();

@@ -156,10 +156,6 @@ impl LockBackend for AndersonLock {
         })
     }
 
-    fn name(&self) -> &'static str {
-        "Anderson"
-    }
-
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         w.usize(self.my_index.len());
         for t in &self.my_index {

@@ -113,10 +113,6 @@ impl LockBackend for IdealLock {
         Box::new(IdealRelease { state: Rc::clone(&self.state), tid, done: false })
     }
 
-    fn name(&self) -> &'static str {
-        "Ideal"
-    }
-
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         let s = self.state.borrow();
         w.opt_u64(s.holder.map(|t| u64::from(t.0)));

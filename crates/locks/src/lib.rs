@@ -11,12 +11,18 @@
 //! * [`mcs`] — MCS Lock, "the most efficient software algorithm for lock
 //!   synchronization" and the paper's main baseline;
 //! * [`ideal`] — the zero-latency, zero-traffic ideal lock of Figure 1;
-//! * [`glock_backend`] — the core-side driver of the hardware GLock
-//!   (Figure 5: a register write plus a busy-wait on `lock_req`);
-//! * [`failover`] — the GLock driver wrapped with permanent-fault
-//!   detection and failover onto TATAS (survivability, beyond the paper);
-//! * [`barrier`] — a sense-versioned combining-tree barrier (the
-//!   applications' library barrier: at most two threads meet at any node).
+//! * [`glock`] — the one core-side driver of the hardware GLock (Figure 5:
+//!   a register write plus a busy-wait on `lock_req`), for statically
+//!   mapped and dynamically shared (pool-bound) GLocks alike, with
+//!   failover onto TATAS when its network dies (survivability, beyond the
+//!   paper);
+//! * [`failback`] — the per-network controller that re-arms a statically
+//!   mapped GLock once its repaired network has earned trust back;
+//! * [`reactive`], [`mplock_backend`] — Reactive Lock and MP-Locks / SB
+//!   (related work);
+//! * [`barrier`], [`gbarrier_backend`] — a sense-versioned combining-tree
+//!   barrier (the applications' library barrier: at most two threads meet
+//!   at any node) and the G-line hardware barrier's driver.
 //!
 //! All backends implement [`glocks_cpu::LockBackend`] /
 //! [`glocks_cpu::BarrierBackend`] and are manufactured by
@@ -24,10 +30,9 @@
 
 pub mod anderson;
 pub mod barrier;
-pub mod dynamic;
-pub mod failover;
+pub mod failback;
 pub mod gbarrier_backend;
-pub mod glock_backend;
+pub mod glock;
 pub mod ideal;
 pub mod layout;
 pub mod mcs;
@@ -39,7 +44,7 @@ pub mod ticket;
 #[cfg(test)]
 pub(crate) mod testkit;
 
-use glocks::GlockRegisters;
+use failback::FailbackCtl;
 use glocks_cpu::LockBackend;
 use glocks_mem::mplock::MpFabric;
 use glocks_sim_base::Addr;
@@ -132,15 +137,16 @@ impl LockAlgorithm {
     }
 
     /// Manufacture a backend. `base` is the start of this lock's private
-    /// region of simulated memory (unused by `Ideal`/`Glock`/`MpLock`);
-    /// `glock_regs` is required for [`LockAlgorithm::Glock`], and
-    /// `mp` (the NIC fabric plus this lock's MP-lock id) for
+    /// region of simulated memory (unused by `Ideal`/`MpLock`; hosts the
+    /// failover word of `Glock`); `glock` — the fail-back controller of the
+    /// lock's G-line network — is required for [`LockAlgorithm::Glock`],
+    /// and `mp` (the NIC fabric plus this lock's MP-lock id) for
     /// [`LockAlgorithm::MpLock`].
     pub fn make_backend(
         self,
         base: Addr,
         n_threads: usize,
-        glock_regs: Option<Rc<GlockRegisters>>,
+        glock: Option<Rc<FailbackCtl>>,
         mp: Option<(Rc<MpFabric>, u16)>,
     ) -> Box<dyn LockBackend> {
         match self {
@@ -151,8 +157,10 @@ impl LockAlgorithm {
             LockAlgorithm::Anderson => Box::new(anderson::AndersonLock::new(base, n_threads)),
             LockAlgorithm::Mcs => Box::new(mcs::McsLock::new(base, n_threads)),
             LockAlgorithm::Ideal => Box::new(ideal::IdealLock::new()),
-            LockAlgorithm::Glock => Box::new(glock_backend::GlockBackend::new(
-                glock_regs.expect("GLock backend needs a G-line network register file"),
+            LockAlgorithm::Glock => Box::new(glock::GlockBackend::pinned(
+                glock.expect("GLock backend needs a G-line network (register file and controller)"),
+                base,
+                n_threads,
             )),
             LockAlgorithm::MpLock | LockAlgorithm::SyncBuf => {
                 let (fabric, id) = mp.expect("MP-Lock backend needs the NIC fabric");

@@ -221,10 +221,6 @@ impl LockBackend for McsLock {
         })
     }
 
-    fn name(&self) -> &'static str {
-        "MCS"
-    }
-
     // The queue (tail pointer, qnodes) lives entirely in simulated memory.
     fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapError> {
         Ok(())

@@ -110,10 +110,6 @@ impl LockBackend for MpLockBackend {
         })
     }
 
-    fn name(&self) -> &'static str {
-        "MP-Lock"
-    }
-
     // The fabric (outbox, grant flags) is saved with the memory system.
     fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapError> {
         Ok(())

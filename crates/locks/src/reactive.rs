@@ -203,10 +203,6 @@ impl LockBackend for ReactiveBackend {
         Box::new(ReactiveRelease { inner, mode, refs: Rc::clone(&self.refs), done: false })
     }
 
-    fn name(&self) -> &'static str {
-        "Reactive"
-    }
-
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         w.u8(mode_tag(self.lock.mode.get()));
         w.u32(self.lock.refs.get());

@@ -148,14 +148,6 @@ impl LockBackend for TatasLock {
         Box::new(TatasRelease { flag: self.flag, done: false })
     }
 
-    fn name(&self) -> &'static str {
-        match (self.test_first, self.backoff) {
-            (false, _) => "Simple",
-            (true, false) => "TATAS",
-            (true, true) => "TATAS-BO",
-        }
-    }
-
     // The lock word itself lives in simulated memory (saved with the
     // memory system); the backend carries no dynamic state of its own.
     fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapError> {

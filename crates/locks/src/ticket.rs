@@ -117,10 +117,6 @@ impl LockBackend for TicketLock {
         })
     }
 
-    fn name(&self) -> &'static str {
-        "Ticket"
-    }
-
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         w.usize(self.my_ticket.len());
         for t in &self.my_ticket {

@@ -3,11 +3,13 @@
 //! mutual exclusion (tracker-enforced) and lose no counter updates.
 
 use glocks_cpu::{Action, Backends, BarrierBackend, Core, FixedScript, LockBackend, LockTracker, Script, Workload};
+use glocks_locks::failback::FailbackCtl;
 use glocks_locks::LockAlgorithm;
 use glocks_mem::{MemOp, MemorySystem};
 use glocks_sim_base::{Addr, CmpConfig, CoreId, LockId, SplitMix64, ThreadId};
 use glocks::{GlockNetwork, Topology};
 use proptest::prelude::*;
+use std::rc::Rc;
 
 struct NullBarrier;
 
@@ -78,10 +80,10 @@ fn run_property(algo: LockAlgorithm, threads: usize, iters: u64, seed: u64) -> u
     let mesh = cfg.mesh();
     let mut glock_net = (algo == LockAlgorithm::Glock)
         .then(|| GlockNetwork::new(&Topology::flat(mesh), 1));
-    let regs = glock_net.as_ref().map(|n| n.regs());
+    let ctl = glock_net.as_ref().map(|n| Rc::new(FailbackCtl::new(n.regs(), n.health())));
     let mp = matches!(algo, LockAlgorithm::MpLock | LockAlgorithm::SyncBuf)
         .then(|| (mem.mp_fabric(), 0u16));
-    let backend = algo.make_backend(Addr(0x10_000), threads, regs, mp);
+    let backend = algo.make_backend(Addr(0x10_000), threads, ctl, mp);
     let locks: Vec<Box<dyn LockBackend>> = vec![backend];
     let barrier = NullBarrier;
     let backends = Backends { locks: &locks, barrier: &barrier };

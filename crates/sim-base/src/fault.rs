@@ -180,7 +180,7 @@ pub enum HardFaultTarget {
 /// an **intermittent** fault additionally carries a `repair_at` cycle at
 /// which replacement hardware arrives: the dead component is reset to a
 /// clean boot image and comes back *untrusted* — the fail-back machinery
-/// (`locks::failover`) must probe it healthy before the hardware path is
+/// (`locks::failback`) must probe it healthy before the hardware path is
 /// re-armed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HardFault {

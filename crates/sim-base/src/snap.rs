@@ -23,7 +23,10 @@ use std::fmt;
 pub const SNAP_MAGIC: u32 = 0x474C_534E;
 /// Bump on any incompatible change to the encoded layout.
 /// v2: per-core `Breakdown` gained an `idle` field (open-loop arrivals).
-pub const SNAP_VERSION: u32 = 2;
+/// v3: one GLock driver for every GLock lock — a statically mapped lock
+/// now saves its tenure paths and fail-back controller even without a
+/// fault plan, and its scripts use the merged GLock driver's phase tags.
+pub const SNAP_VERSION: u32 = 3;
 
 /// Why a snapshot could not be written or read back.
 #[derive(Clone, Debug, PartialEq, Eq)]

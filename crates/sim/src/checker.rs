@@ -41,7 +41,7 @@
 
 use glocks::GlockNetwork;
 use glocks_cpu::LockTracker;
-use glocks_locks::failover::{FailbackCtl, FailbackMode};
+use glocks_locks::failback::{FailbackCtl, FailbackMode};
 use glocks_mem::MemorySystem;
 use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Cycle, LockId, ThreadId};
@@ -102,15 +102,15 @@ impl ProtocolChecker {
 
     /// Run every invariant family; returns a description of the first
     /// violation found. `ctls` holds the fail-back controllers
-    /// index-aligned with `nets` (`None` — or a short/empty slice — for
-    /// networks without a failover backend).
+    /// index-aligned with `nets` (empty for pool networks, which never
+    /// fail back).
     pub fn check(
         &mut self,
         now: Cycle,
         tracker: &LockTracker,
         mem: &MemorySystem,
         nets: &[GlockNetwork],
-        ctls: &[Option<Rc<FailbackCtl>>],
+        ctls: &[Rc<FailbackCtl>],
     ) -> Option<String> {
         self.checks_run += 1;
         if let Some(v) = tracker.find_violation() {
@@ -120,7 +120,7 @@ impl ProtocolChecker {
             if let Some(v) = net.token_invariant_violation() {
                 return Some(format!("glock net {k} token invariant: {v}"));
             }
-            let ctl = ctls.get(k).and_then(|c| c.as_ref());
+            let ctl = ctls.get(k);
             let health = net.health();
             if !health.is_dead() && !health.is_trusted() {
                 // Repaired but untrusted: the only legitimate grant is the
@@ -284,117 +284,109 @@ mod tests {
         assert!(v.contains("bounded waiting"), "{v}");
     }
 
-    /// The fail-back invariants: a non-probe grant on an untrusted
-    /// network, a hardware holder during the drain, and software tenures
-    /// surviving into the trusted state must all trip the checker.
+    /// The fail-back invariants: software tenures on a trusted hardware
+    /// path, a non-probe grant on an untrusted network, and a hardware
+    /// holder during the drain must all trip the checker, while the
+    /// probe's own round-trip on the untrusted network must not. The
+    /// controller is driven only through its API and the lock driver.
     #[test]
     fn failback_invariants_guard_untrusted_grants_and_double_path() {
         use glocks::Topology;
-        use glocks_locks::failover::FailoverGlockBackend;
+        use glocks_cpu::Step;
+        use glocks_locks::LockAlgorithm;
         use glocks_sim_base::{Addr, Mesh2D};
 
-        let mut net = GlockNetwork::new(&Topology::flat(Mesh2D::new(2, 2)), 1);
-        let backend = FailoverGlockBackend::new(net.regs(), net.health(), Addr(0x1000), 4);
-        let ctl = backend.failback_ctl();
-        let regs = net.regs();
-        // Kill while idle, detect via a raw request, then repair: the
-        // network ends repaired-but-untrusted.
-        net.schedule_line_kill(10);
-        for t in 0..20 {
-            net.tick(t);
+        fn tick(net: &mut GlockNetwork, ctl: Option<&FailbackCtl>, now: &mut Cycle) {
+            net.tick(*now);
+            if let Some(ctl) = ctl {
+                ctl.tick(*now);
+            }
+            *now += 1;
+            assert!(*now < 1_000_000, "scenario stalled");
         }
-        regs.set_req(0);
-        let mut now = 20;
-        while !net.health().is_dead() {
-            net.tick(now);
-            now += 1;
-            assert!(now < 1_000_000, "death verdict never reached");
-        }
-        net.schedule_repair(now);
-        net.tick(now);
-        assert!(!net.health().is_dead() && !net.health().is_trusted());
 
+        let mut nets = [GlockNetwork::new(&Topology::flat(Mesh2D::new(2, 2)), 1)];
+        let regs = nets[0].regs();
+        let health = nets[0].health();
+        let ctls = [Rc::new(FailbackCtl::new(nets[0].regs(), nets[0].health()))];
+        let ctl = &*ctls[0];
+        let backend =
+            LockAlgorithm::Glock.make_backend(Addr(0x1000), 4, Some(Rc::clone(&ctls[0])), None);
         let tracker = LockTracker::new(1, 4);
         let mem = MemorySystem::new(&glocks_sim_base::CmpConfig::paper_baseline());
         let mut ck = ProtocolChecker::new(CheckerConfig::default(), 1, 4);
+        let mut now = 0;
 
-        // A rogue (non-probe) request sneaks onto the untrusted hardware
-        // and is granted: invariant 5 must trip.
-        regs.set_req(1);
+        // Kill while idle; a raw request drives detection. The controller
+        // is not ticked, so it misses the verdict and stays in `Hardware`
+        // while an acquire fails over: a software tenure on what the
+        // controller believes is a trusted hardware path.
+        nets[0].schedule_line_kill(10);
         for _ in 0..20 {
-            now += 1;
-            net.tick(now);
+            tick(&mut nets[0], None, &mut now);
         }
-        assert_eq!(regs.hw_holder(), Some(1));
-        let nets = [net];
-        let ctls = [Some(Rc::clone(&ctl))];
-        let v = ck
-            .check(now, &tracker, &mem, &nets, &ctls)
-            .expect("a non-probe grant on an untrusted network must trip");
-        assert!(v.contains("untrusted"), "{v}");
-
-        // Same grant, but owned by the fail-back probe: legitimate. Forge
-        // the probe state through the controller's own snapshot codec
-        // (mode=Probing, stage=awaiting grant on core 1).
-        let mut w = SnapWriter::new();
-        w.u8(2); // Probing
-        w.u32(0);
-        w.u64(now);
-        w.u8(1); // probe stage: awaiting grant
-        w.usize(1); // probe core 1
-        w.u64(now);
-        w.bool(true);
-        w.u64(now);
-        w.u64(0); // sw_inflight
-        w.u64(0); // failbacks
-        let bytes = w.into_bytes();
-        ctl.load_state(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(
-            ck.check(now, &tracker, &mem, &nets, &ctls),
-            None,
-            "the probe's own round-trip is the one legitimate untrusted grant"
-        );
-
-        // Draining with a hardware holder: no grant may exist mid-drain.
-        // (Promote the net to trusted first so the drain invariant — which
-        // holds regardless of health — is the one that trips.)
-        nets[0].health().mark_trusted();
-        let mut w = SnapWriter::new();
-        w.u8(3); // Draining
-        w.u32(0);
-        w.u64(now);
-        w.u8(0);
-        w.usize(0);
-        w.u64(0);
-        w.bool(true);
-        w.u64(0);
-        w.u64(0);
-        w.u64(0);
-        let bytes = w.into_bytes();
-        ctl.load_state(&mut SnapReader::new(&bytes)).unwrap();
-        let v = ck
-            .check(now, &tracker, &mem, &nets, &ctls)
-            .expect("a hardware holder during the drain must trip");
-        assert!(v.contains("drain"), "{v}");
-
-        // Trusted hardware with software tenures still in flight.
-        let mut w = SnapWriter::new();
-        w.u8(0); // Hardware
-        w.u32(0);
-        w.u64(0);
-        w.u8(0);
-        w.usize(0);
-        w.u64(0);
-        w.bool(true);
-        w.u64(0);
-        w.u64(1); // sw_inflight: one stranded software tenure
-        w.u64(0);
-        let bytes = w.into_bytes();
-        ctl.load_state(&mut SnapReader::new(&bytes)).unwrap();
+        regs.set_req(0);
+        while !health.is_dead() {
+            tick(&mut nets[0], None, &mut now);
+        }
+        let mut acq = backend.acquire(ThreadId(1));
+        assert_eq!(acq.resume(0), Step::Compute(1), "a closed gate fails over");
+        assert_eq!((ctl.mode(), ctl.sw_inflight()), (FailbackMode::Hardware, 1));
         let v = ck
             .check(now, &tracker, &mem, &nets, &ctls)
             .expect("software tenures on a trusted hardware path must trip");
         assert!(v.contains("double-path"), "{v}");
+
+        // The controller catches up with the verdict; the repair leaves the
+        // network repaired-but-untrusted and the controller probing it.
+        tick(&mut nets[0], Some(ctl), &mut now);
+        assert_eq!(ctl.mode(), FailbackMode::SoftwareWait);
+        nets[0].schedule_repair(now);
+        while ctl.mode() != FailbackMode::Probing {
+            tick(&mut nets[0], Some(ctl), &mut now);
+        }
+        assert!(!health.is_dead() && !health.is_trusted());
+
+        // A rogue (non-probe) request sneaks onto the untrusted hardware
+        // and is granted before the first probe launches.
+        regs.set_req(1);
+        while regs.hw_holder().is_none() {
+            tick(&mut nets[0], None, &mut now);
+        }
+        let v = ck
+            .check(now, &tracker, &mem, &nets, &ctls)
+            .expect("a non-probe grant on an untrusted network must trip");
+        assert!(v.contains("untrusted"), "{v}");
+        regs.set_rel(1);
+        while regs.hw_holder().is_some() {
+            tick(&mut nets[0], None, &mut now);
+        }
+
+        // The probes' own round-trips are the legitimate untrusted grants.
+        // The failed-over tenure never ends, so once the hysteresis is
+        // satisfied the controller stays draining.
+        let mut probe_grants = 0;
+        while ctl.mode() != FailbackMode::Draining {
+            tick(&mut nets[0], Some(ctl), &mut now);
+            if regs.hw_holder().is_some() {
+                probe_grants += 1;
+                assert_eq!(ck.check(now, &tracker, &mem, &nets, &ctls), None);
+            }
+        }
+        assert!(probe_grants > 0, "no probe grant was observed");
+
+        // Draining with a hardware holder: no grant may exist mid-drain.
+        // (Trust the network first so the drain invariant — which holds
+        // regardless of health — is the one that trips.)
+        health.mark_trusted();
+        regs.set_req(2);
+        while regs.hw_holder().is_none() {
+            tick(&mut nets[0], None, &mut now);
+        }
+        let v = ck
+            .check(now, &tracker, &mem, &nets, &ctls)
+            .expect("a hardware holder during the drain must trip");
+        assert!(v.contains("drain"), "{v}");
     }
 
     #[test]

@@ -14,9 +14,12 @@ use glocks_sim_base::snap::{
 use glocks_sim_base::ThreadId;
 use glocks_energy::{EnergyInputs, EnergyModel};
 use glocks_locks::barrier::TreeBarrier;
+use glocks_locks::failback::FailbackCtl;
+use glocks_locks::glock::GlockBackend;
 use glocks_locks::LockAlgorithm;
 use glocks_mem::MemorySystem;
 use glocks_sim_base::{Addr, CmpConfig, CoreId, Cycle, LockId, TileId};
+use std::rc::Rc;
 use std::time::Instant;
 
 /// A barrier backend that gives each consecutive core group its own
@@ -95,9 +98,6 @@ const BARRIER_REGION: u64 = 0x00F0_0000;
 /// Knobs beyond the architectural configuration.
 #[derive(Clone, Debug)]
 pub struct SimulationOptions {
-    /// Run the MESI invariant checker every `n` cycles (0 = never).
-    /// Expensive; intended for tests.
-    pub check_invariants_every: u64,
     /// Abort if the run exceeds this many cycles.
     pub max_cycles: u64,
     /// Energy model to account with.
@@ -147,7 +147,6 @@ pub struct SimulationOptions {
 impl Default for SimulationOptions {
     fn default() -> Self {
         SimulationOptions {
-            check_invariants_every: 0,
             max_cycles: 2_000_000_000,
             energy_model: EnergyModel::paper_baseline(),
             force_hierarchical_glocks: false,
@@ -183,7 +182,6 @@ fn config_fingerprint(cfg: &CmpConfig, mapping: &LockMapping, options: &Simulati
     for i in 0..mapping.n_locks() {
         fp.mix_str(mapping.algo(LockId(i as u16)).name());
     }
-    fp.mix_u64(options.check_invariants_every);
     fp.mix_u64(options.max_cycles);
     fp.mix_str(&format!("{:?}", options.energy_model));
     fp.mix_u64(u64::from(options.force_hierarchical_glocks));
@@ -227,15 +225,13 @@ pub struct Simulation {
     tracker: LockTracker,
     glock_nets: Vec<GlockNetwork>,
     gbarrier: Option<GBarrierNetwork>,
-    pool: Option<std::rc::Rc<GlockPool>>,
+    pool: Option<Rc<GlockPool>>,
     checker: Option<ProtocolChecker>,
-    /// Per-backend failover counters, present only under hard faults.
-    failover_counters: Vec<std::rc::Rc<std::cell::Cell<u64>>>,
-    /// Fail-back controllers, index-aligned with `glock_nets` (`None` for
-    /// networks without a failover backend). Present only under hard
-    /// faults; they drive the repair → probe → drain → re-arm lifecycle.
-    failback_ctls: Vec<Option<std::rc::Rc<glocks_locks::failover::FailbackCtl>>>,
-    has_hard_faults: bool,
+    /// Fail-back controllers of the statically mapped GLocks,
+    /// index-aligned with `glock_nets` (empty under dynamic sharing: pool
+    /// networks never fail back). Dormant until a death verdict; they
+    /// drive the repair → probe → drain → re-arm lifecycle.
+    failback_ctls: Vec<Rc<FailbackCtl>>,
     now: Cycle,
     /// Watchdog memory: highest progress-event sum seen and when.
     progress_mark: (u64, Cycle),
@@ -305,7 +301,6 @@ impl Simulation {
         let mut glock_nets: Vec<GlockNetwork> = (0..n_nets)
             .map(|_| GlockNetwork::new(&topo, cfg.glocks.gline_latency))
             .collect();
-        let mut has_hard_faults = false;
         if let Some(plan) = &options.fault_plan {
             if let Err(e) = plan.validate() {
                 panic!("{e}");
@@ -316,7 +311,6 @@ impl Simulation {
                     net.set_faults(plan.injector(FaultSite::Gline, k as u64));
                 }
             }
-            has_hard_faults = plan.has_hard_faults();
             for hf in &plan.hard {
                 // Intermittent faults: the repair crew arrives at
                 // `repair_at` (validation already rejected repairs on
@@ -362,52 +356,31 @@ impl Simulation {
             // locks are quarantined out of future bindings.
             p.attach_healths(glock_nets.iter().map(|n| n.health()).collect());
         }
-        // Lock backends in LockId order.
-        let mut next_glock = 0usize;
-        let mut failover_counters = Vec::new();
-        let mut failback_ctls: Vec<Option<std::rc::Rc<glocks_locks::failover::FailbackCtl>>> =
-            vec![None; n_nets];
+        let failback_ctls: Vec<Rc<FailbackCtl>> = if dynamic {
+            Vec::new()
+        } else {
+            glock_nets.iter().map(|n| Rc::new(FailbackCtl::new(n.regs(), n.health()))).collect()
+        };
+        // Lock backends in LockId order; the k-th lock mapped to GLock
+        // drives network k.
+        let mut glock_ctls = failback_ctls.iter();
         let locks: Vec<Box<dyn LockBackend>> = (0..n_locks)
             .map(|i| {
                 let algo = mapping.algo(LockId(i as u16));
                 let base = Addr(LOCK_REGION_BASE + i as u64 * LOCK_REGION_STRIDE);
-                let regs = if algo == LockAlgorithm::Glock {
-                    let k = next_glock;
-                    next_glock += 1;
-                    if has_hard_faults {
-                        // Survivable flavor of the GLock driver: healthy
-                        // runs are step-identical, but a detected network
-                        // death reroutes onto a software fallback. Only
-                        // built under a hard-fault plan, so fault-free
-                        // stats dumps keep their exact schema and values.
-                        let b = glocks_locks::failover::FailoverGlockBackend::new(
-                            glock_nets[k].regs(),
-                            glock_nets[k].health(),
-                            base,
-                            cfg.num_cores,
-                        );
-                        failover_counters.push(b.failover_count());
-                        failback_ctls[k] = Some(b.failback_ctl());
-                        return Box::new(b) as Box<dyn LockBackend>;
-                    }
-                    Some(glock_nets[k].regs())
-                } else {
-                    None
-                };
                 if algo == LockAlgorithm::DynamicGlock {
-                    return Box::new(glocks_locks::dynamic::DynamicGlockBackend::new(
-                        std::rc::Rc::clone(pool.as_ref().expect("dynamic pool")),
-                        i as u16,
-                        base,
-                        cfg.num_cores,
-                    )) as Box<dyn LockBackend>;
+                    let pool = Rc::clone(pool.as_ref().expect("dynamic pool"));
+                    return Box::new(GlockBackend::pooled(pool, i as u16, base, cfg.num_cores))
+                        as Box<dyn LockBackend>;
                 }
+                let ctl = (algo == LockAlgorithm::Glock)
+                    .then(|| Rc::clone(glock_ctls.next().expect("one network per GLock")));
                 let mp = matches!(algo, LockAlgorithm::MpLock | LockAlgorithm::SyncBuf)
                     .then(|| (mem.mp_fabric(), i as u16));
                 if algo == LockAlgorithm::SyncBuf {
                     mem.set_mp_latency(i as u16, glocks_mem::mplock::SYNC_BUF_LATENCY);
                 }
-                algo.make_backend(base, cfg.num_cores, regs, mp)
+                algo.make_backend(base, cfg.num_cores, ctl, mp)
             })
             .collect();
         let mut gbarrier = None;
@@ -455,9 +428,7 @@ impl Simulation {
             gbarrier,
             pool,
             checker,
-            failover_counters,
             failback_ctls,
-            has_hard_faults,
             now: 0,
             progress_mark: (0, 0),
             fingerprint,
@@ -507,7 +478,7 @@ impl Simulation {
         }
         // Fail-back controllers tick after their networks so they observe
         // death verdicts and repairs in the same device phase.
-        for ctl in self.failback_ctls.iter().flatten() {
+        for ctl in &self.failback_ctls {
             ctl.tick(self.now);
         }
         if let Some(b) = self.gbarrier.as_mut() {
@@ -581,14 +552,6 @@ impl Simulation {
         }
         self.tick_devices();
         self.tracker.sample();
-        if self.options.check_invariants_every > 0
-            && self.now.is_multiple_of(self.options.check_invariants_every)
-        {
-            self.mem.check_invariants();
-            for net in &self.glock_nets {
-                net.assert_token_invariants();
-            }
-        }
         let violation = match self.checker.as_mut() {
             Some(ck) if ck.due(self.now) => {
                 ck.check(self.now, &self.tracker, &self.mem, &self.glock_nets, &self.failback_ctls)
@@ -651,10 +614,10 @@ impl Simulation {
     ///
     /// The skipped span is never observable: every cycle a component
     /// reported it could act on — and every cycle with a scheduled side
-    /// effect (invariant sweep, checker visit, stats sample, watchdog
-    /// deadline, checkpoint boundary, cycle limit) — is executed densely by
-    /// [`Simulation::step`], so the machine marches through exactly the
-    /// dense loop's state trajectory.
+    /// effect (checker visit, stats sample, watchdog deadline, checkpoint
+    /// boundary, cycle limit) — is executed densely by [`Simulation::step`],
+    /// so the machine marches through exactly the dense loop's state
+    /// trajectory.
     pub fn step_fast(&mut self, checkpoint_cadence: u64) -> Result<bool, SimError> {
         let done = self.step()?;
         if !done && self.options.idle_skip {
@@ -701,7 +664,7 @@ impl Simulation {
         for net in &self.glock_nets {
             fold!(net.next_event(now));
         }
-        for ctl in self.failback_ctls.iter().flatten() {
+        for ctl in &self.failback_ctls {
             fold!(ctl.next_event(now));
         }
         if let Some(b) = &self.gbarrier {
@@ -711,9 +674,6 @@ impl Simulation {
         // besides ticking components. Each must be *executed*, so the jump
         // lands on (not past) the nearest one.
         let mut target = wake.unwrap_or(Cycle::MAX);
-        if self.options.check_invariants_every > 0 {
-            target = target.min(now.next_multiple_of(self.options.check_invariants_every));
-        }
         if let Some(ck) = &self.options.checker {
             target = target.min(now.next_multiple_of(ck.every));
         }
@@ -956,7 +916,7 @@ impl Simulation {
             // Controller ticks are O(1) Cell reads when nothing is
             // happening, so the drain ticks them unconditionally — a
             // repair installing mid-drain must still be observed.
-            for ctl in self.failback_ctls.iter().flatten() {
+            for ctl in &self.failback_ctls {
                 ctl.tick(self.now);
             }
             if let Some(b) = self.gbarrier.as_mut() {
@@ -1034,25 +994,19 @@ impl Simulation {
                 glocks_stats::counter("sim.gbarrier.signals"),
                 gbarrier_signals,
             );
-            // Survivability keys exist only under a hard-fault plan, so
-            // fault-free dumps keep their golden schema.
-            if self.has_hard_faults {
-                let failovers = self.failover_counters.iter().map(|c| c.get()).sum::<u64>()
+            // Survivability keys exist only under a hard-fault plan,
+            // repair/fail-back keys only when the plan schedules a repair,
+            // and per-site soft-fault keys only when that site's rates are
+            // active — fault-free dumps keep their golden schema.
+            let plan = self.options.fault_plan.as_ref();
+            if plan.is_some_and(|p| p.has_hard_faults()) {
+                let failovers = self.failback_ctls.iter().map(|c| c.failovers()).sum::<u64>()
                     + self.pool.as_ref().map_or(0, |p| p.stats().failovers);
                 glocks_stats::set(glocks_stats::counter("sim.failovers"), failovers);
             }
-            // Repair/fail-back keys exist only when the plan schedules a
-            // repair, and per-site soft-fault keys only when that site's
-            // rates are active — fault-free dumps keep their golden schema.
-            let plan = self.options.fault_plan.as_ref();
             if plan.is_some_and(|p| p.has_repairs()) {
                 let repairs = self.glock_nets.iter().map(|n| n.health().repairs()).sum::<u64>();
-                let failbacks = self
-                    .failback_ctls
-                    .iter()
-                    .flatten()
-                    .map(|c| c.failbacks())
-                    .sum::<u64>();
+                let failbacks = self.failback_ctls.iter().map(|c| c.failbacks()).sum::<u64>();
                 glocks_stats::set(glocks_stats::counter("sim.repairs"), repairs);
                 glocks_stats::set(glocks_stats::counter("sim.failbacks"), failbacks);
             }
@@ -1177,7 +1131,10 @@ mod tests {
     fn run_with(algo: LockAlgorithm, cores: usize, iters: u64) -> (SimReport, MemorySystem) {
         let cfg = CmpConfig::paper_baseline().with_cores(cores);
         let mapping = LockMapping::uniform(algo, 1);
-        let opts = SimulationOptions { check_invariants_every: 5000, ..Default::default() };
+        let opts = SimulationOptions {
+            checker: Some(CheckerConfig { every: 5000, ..Default::default() }),
+            ..Default::default()
+        };
         let sim = Simulation::new(&cfg, &mapping, mini_workloads(&cfg, iters), &[], opts);
         sim.run().expect("fault-free run must complete")
     }

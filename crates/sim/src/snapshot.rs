@@ -128,9 +128,11 @@ mod tests {
     }
 
     #[test]
-    fn future_version_rejected() {
-        let e = Snapshot::from_bytes(header(SNAP_MAGIC, SNAP_VERSION + 1, 0, 0)).unwrap_err();
-        assert!(matches!(e, SnapError::VersionMismatch { .. }));
+    fn older_and_newer_versions_rejected() {
+        for version in [SNAP_VERSION - 1, SNAP_VERSION + 1] {
+            let e = Snapshot::from_bytes(header(SNAP_MAGIC, version, 0, 0)).unwrap_err();
+            assert_eq!(e, SnapError::VersionMismatch { found: version, expected: SNAP_VERSION });
+        }
     }
 
     #[test]

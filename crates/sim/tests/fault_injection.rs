@@ -12,7 +12,7 @@
 use glocks_cpu::{Action, CoreActivity, Workload};
 use glocks_locks::LockAlgorithm;
 use glocks_mem::MemOp;
-use glocks_sim::{LockMapping, SimError, Simulation, SimulationOptions};
+use glocks_sim::{CheckerConfig, LockMapping, SimError, Simulation, SimulationOptions};
 use glocks_sim_base::fault::{FaultPlan, FaultRates};
 use glocks_sim_base::{Addr, CmpConfig, LockId};
 
@@ -62,7 +62,7 @@ fn build(cores: usize, iters: u64, plan: FaultPlan, watchdog: u64) -> Simulation
         .map(|_| Box::new(Counter { iters, phase: 0, seen: 0 }) as Box<dyn Workload>)
         .collect();
     let opts = SimulationOptions {
-        check_invariants_every: 1000,
+        checker: Some(CheckerConfig { every: 1000, ..Default::default() }),
         fault_plan: Some(plan),
         watchdog_cycles: watchdog,
         ..Default::default()

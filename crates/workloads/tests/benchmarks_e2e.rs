@@ -3,7 +3,7 @@
 //! checker — the strongest whole-system test in the workspace.
 
 use glocks_locks::LockAlgorithm;
-use glocks_sim::{LockMapping, Simulation, SimulationOptions};
+use glocks_sim::{CheckerConfig, LockMapping, Simulation, SimulationOptions};
 use glocks_sim_base::CmpConfig;
 use glocks_workloads::{BenchConfig, BenchKind};
 
@@ -12,7 +12,10 @@ fn run(kind: BenchKind, threads: usize, mapping_of: impl Fn(&BenchConfig) -> Loc
     let inst = bench.build();
     let cfg = CmpConfig::paper_baseline().with_cores(threads);
     let mapping = mapping_of(&bench);
-    let opts = SimulationOptions { check_invariants_every: 20_000, ..Default::default() };
+    let opts = SimulationOptions {
+        checker: Some(CheckerConfig { every: 20_000, ..Default::default() }),
+        ..Default::default()
+    };
     let sim = Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, opts);
     let (report, mem) = sim.run().expect("simulation wedged");
     if let Err(e) = (inst.verify)(mem.store()) {

@@ -1,6 +1,7 @@
 //! Whole-workspace integration through the façade crate's public API.
 
 use glocks_repro::prelude::*;
+use glocks_repro::sim::CheckerConfig;
 
 fn run(
     kind: BenchKind,
@@ -47,7 +48,10 @@ fn glock_networks_report_activity() {
 
 #[test]
 fn invariant_checked_run_stays_clean() {
-    let opts = SimulationOptions { check_invariants_every: 500, ..Default::default() };
+    let opts = SimulationOptions {
+        checker: Some(CheckerConfig { every: 500, ..Default::default() }),
+        ..Default::default()
+    };
     let bench = BenchConfig::smoke(BenchKind::Dbll, 8);
     let mapping = LockMapping::hybrid(&bench.hc_locks(), LockAlgorithm::Glock, bench.n_locks());
     let (_, verify) = run(BenchKind::Dbll, 8, &mapping, opts);

@@ -34,6 +34,27 @@ fn dump_json(options: SimulationOptions) -> String {
         .to_json()
 }
 
+/// The committed golden dump is the `glocks-experiments stats` run of SCTR
+/// under GLocks on 8 cores. CI diffs it with tolerances; this test holds
+/// the simulator to it byte for byte, in tier-1.
+#[test]
+fn golden_dump_is_reproduced_byte_for_byte() {
+    let golden = include_str!("golden/stats_SCTR_GLock_8t_0.json");
+    gstats::enable(gstats::StatsConfig::default());
+    let meta = [("experiment", "stats"), ("bench", "SCTR"), ("lock", "GLock"), ("threads", "8")];
+    for (key, value) in meta {
+        gstats::set_meta(key, value);
+    }
+    let report = sim_for(BenchKind::Sctr, LockAlgorithm::Glock, 8, Default::default());
+    gstats::disable();
+    let dump = report.stats.expect("stats session active, snapshot attached").to_json();
+    assert!(
+        dump == golden,
+        "the dump no longer matches tests/golden/stats_SCTR_GLock_8t_0.json \
+         (`glocks-stats diff` names the keys that moved)"
+    );
+}
+
 #[test]
 fn identical_runs_dump_byte_identical_stats_json() {
     let a = dump_json(Default::default());
