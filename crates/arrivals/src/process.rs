@@ -10,7 +10,6 @@
 //! per sample (≈4 on average); the payoff is an arrival schedule that is a
 //! pure function of the seed on every platform.
 
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Cycle, SplitMix64};
 
 /// Domain tag for [`SplitMix64::domain_stream`]: "ARRV". Arrival
@@ -117,6 +116,10 @@ pub struct ArrivalGen {
     /// Cycle at which the current MMPP phase ends.
     phase_until: Cycle,
 }
+glocks_sim_base::snap!(ArrivalGen mark "arrival-gen" {
+    rng, clock, burst, phase_until;
+    skip process
+});
 
 impl ArrivalGen {
     /// Build the generator for stream `stream` (normally the core index)
@@ -153,28 +156,12 @@ impl ArrivalGen {
         self.clock = self.clock.saturating_add(gap);
         self.clock
     }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.mark("arrival-gen");
-        self.rng.save_state(w);
-        w.u64(self.clock);
-        w.bool(self.burst);
-        w.u64(self.phase_until);
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect("arrival-gen")?;
-        self.rng.load_state(r)?;
-        self.clock = r.u64()?;
-        self.burst = r.bool()?;
-        self.phase_until = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glocks_sim_base::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn exp_gap_mean_is_close() {
@@ -258,11 +245,11 @@ mod tests {
             a.next_arrival();
         }
         let mut w = SnapWriter::new();
-        a.save_state(&mut w);
+        a.save(&mut w);
         let bytes = w.into_bytes();
         let mut b = ArrivalGen::new(p, 999, 0); // wrong seed: state must fully restore
         let mut r = SnapReader::new(&bytes);
-        b.load_state(&mut r).unwrap();
+        b.load(&mut r).unwrap();
         for _ in 0..100 {
             assert_eq!(a.next_arrival(), b.next_arrival());
         }

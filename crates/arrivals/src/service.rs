@@ -20,7 +20,6 @@
 use crate::process::{ArrivalGen, ArrivalProcess};
 use glocks_cpu::{Action, Workload};
 use glocks_mem::MemOp;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Addr, Cycle, LockId};
 use std::collections::VecDeque;
 
@@ -45,47 +44,40 @@ pub struct ServiceConfig {
     pub tenant: u32,
 }
 
-/// Where the state machine is between two `next()` calls. Tags are the
-/// snapshot encoding.
+/// Where the state machine is between two `next()` calls.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
     /// Nothing in flight; the next call dispatches (first call, or woken
     /// from an inter-arrival sleep with `last` = now).
-    Dispatch = 0,
+    Dispatch,
     /// Issued `Acquire`; next call sees the grant (at unknown cycle).
-    Acquiring = 1,
+    Acquiring,
     /// Issued `WaitUntil(0)` to read the grant cycle.
-    GrantRead = 2,
+    GrantRead,
     /// Issued the critical-section load.
-    CsLoad = 3,
+    CsLoad,
     /// Issued the critical-section store.
-    CsStore = 4,
+    CsStore,
     /// Issued the critical-section compute.
-    CsCompute = 5,
+    CsCompute,
     /// Issued `Release`.
-    Releasing = 6,
+    Releasing,
     /// Issued `WaitUntil(0)` to read the completion cycle.
-    DoneRead = 7,
+    DoneRead,
     /// All requests completed or dropped; `Done` returned.
-    Finished = 8,
+    Finished,
 }
-
-impl Phase {
-    fn from_tag(tag: u8) -> Result<Phase, SnapError> {
-        Ok(match tag {
-            0 => Phase::Dispatch,
-            1 => Phase::Acquiring,
-            2 => Phase::GrantRead,
-            3 => Phase::CsLoad,
-            4 => Phase::CsStore,
-            5 => Phase::CsCompute,
-            6 => Phase::Releasing,
-            7 => Phase::DoneRead,
-            8 => Phase::Finished,
-            t => return Err(SnapError::BadTag { what: "service phase", tag: u64::from(t) }),
-        })
-    }
-}
+glocks_sim_base::snap!(enum Phase {
+    0 => Dispatch,
+    1 => Acquiring,
+    2 => GrantRead,
+    3 => CsLoad,
+    4 => CsStore,
+    5 => CsCompute,
+    6 => Releasing,
+    7 => DoneRead,
+    8 => Finished,
+});
 
 /// One core's open-loop request server (see module docs).
 pub struct ServiceWorkload {
@@ -117,6 +109,12 @@ pub struct ServiceWorkload {
     c_dropped: glocks_stats::CounterId,
     c_tenant_completed: glocks_stats::CounterId,
 }
+glocks_sim_base::snap!(ServiceWorkload mark "service-workload" {
+    gen, next_at, backlog, phase, cur_arrival, service_start, generated, completed, dropped,
+    backlog_max;
+    skip cfg, stream, h_queue, h_acquire, h_total, h_tenant_total, c_arrivals, c_completed,
+        c_dropped, c_tenant_completed
+});
 
 impl ServiceWorkload {
     /// Build the server for stream `stream` (normally the core index) of a
@@ -248,35 +246,7 @@ impl Workload for ServiceWorkload {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.mark("service-workload");
-        self.gen.save_state(w);
-        w.opt_u64(self.next_at);
-        w.seq(self.backlog.iter().copied().collect::<Vec<_>>().as_slice(), |w, &t| w.u64(t));
-        w.u8(self.phase as u8);
-        w.u64(self.cur_arrival);
-        w.u64(self.service_start);
-        w.u64(self.generated);
-        w.u64(self.completed);
-        w.u64(self.dropped);
-        w.u64(self.backlog_max);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect("service-workload")?;
-        self.gen.load_state(r)?;
-        self.next_at = r.opt_u64()?;
-        self.backlog = r.seq(|r| r.u64())?.into();
-        self.phase = Phase::from_tag(r.u8()?)?;
-        self.cur_arrival = r.u64()?;
-        self.service_start = r.u64()?;
-        self.generated = r.u64()?;
-        self.completed = r.u64()?;
-        self.dropped = r.u64()?;
-        self.backlog_max = r.u64()?;
-        Ok(())
-    }
+    glocks_cpu::snap_methods!(workload);
 
     fn publish_stats(&self) {
         if !glocks_stats::is_enabled() {
@@ -293,6 +263,7 @@ impl Workload for ServiceWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glocks_sim_base::snap::{SnapReader, SnapWriter};
 
     fn cfg(requests: u64, mean_gap: u64) -> ServiceConfig {
         ServiceConfig {

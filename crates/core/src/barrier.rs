@@ -18,7 +18,6 @@
 use crate::signal::{Endpoint, InFlight, Sig, Wires};
 use crate::topology::Topology;
 use crate::node::Child;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::Cycle;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -29,6 +28,7 @@ use std::rc::Rc;
 pub struct BarrierRegs {
     arrive: Vec<Cell<bool>>,
 }
+glocks_sim_base::snap!(shared BarrierRegs { arrive as fixed });
 
 impl BarrierRegs {
     fn new(n_cores: usize) -> Rc<Self> {
@@ -72,6 +72,10 @@ pub struct GBarrierNetwork {
     buf: Vec<InFlight>,
     episodes: u64,
 }
+glocks_sim_base::snap!(GBarrierNetwork mark "gbarrier" {
+    counts as fixed, forwarded as fixed, leaf_sent as fixed, regs, wires, episodes;
+    skip latency, parents, children, leaf_parent, expected, buf
+});
 
 impl GBarrierNetwork {
     pub fn new(topo: &Topology, gline_latency: u64) -> Self {
@@ -198,49 +202,6 @@ impl GBarrierNetwork {
             return Some(now);
         }
         None
-    }
-
-    /// Serialize the dynamic barrier state (tree shape and `expected`
-    /// counts are structure; `buf` is per-tick scratch).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.mark("gbarrier");
-        w.seq(&self.counts, |w, &c| w.u32(c));
-        w.seq(&self.forwarded, |w, &f| w.bool(f));
-        w.seq(&self.leaf_sent, |w, &s| w.bool(s));
-        w.usize(self.regs.arrive.len());
-        for a in &self.regs.arrive {
-            w.bool(a.get());
-        }
-        self.wires.save_state(w);
-        w.u64(self.episodes);
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect("gbarrier")?;
-        let counts = r.seq(|r| r.u32())?;
-        if counts.len() != self.counts.len() {
-            return Err(SnapError::Corrupt { what: "gbarrier controller count" });
-        }
-        self.counts = counts;
-        let forwarded = r.seq(|r| r.bool())?;
-        if forwarded.len() != self.forwarded.len() {
-            return Err(SnapError::Corrupt { what: "gbarrier controller count" });
-        }
-        self.forwarded = forwarded;
-        let leaf_sent = r.seq(|r| r.bool())?;
-        if leaf_sent.len() != self.leaf_sent.len() {
-            return Err(SnapError::Corrupt { what: "gbarrier core count" });
-        }
-        self.leaf_sent = leaf_sent;
-        if r.usize()? != self.regs.arrive.len() {
-            return Err(SnapError::Corrupt { what: "gbarrier core count" });
-        }
-        for a in &self.regs.arrive {
-            a.set(r.bool()?);
-        }
-        self.wires.load_state(r)?;
-        self.episodes = r.u64()?;
-        Ok(())
     }
 }
 

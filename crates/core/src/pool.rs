@@ -25,7 +25,7 @@
 
 use crate::network::NetworkHealth;
 use crate::regs::GlockRegisters;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
+use glocks_sim_base::snap::{Decode, Snap, SnapError, SnapReader, SnapWriter};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -54,6 +54,7 @@ pub struct PoolStats {
     /// mid-episode (hard-fault failover).
     pub failovers: u64,
 }
+glocks_sim_base::snap!(PoolStats { binds, unbinds, spills, hw_acquires, failovers });
 
 struct PoolState {
     /// Per physical lock: the logical lock currently bound to it.
@@ -67,12 +68,44 @@ struct PoolState {
     stats: PoolStats,
 }
 
+/// Hand-written: the owner tables write each logical id widened to 64 bits,
+/// and only the first carries the physical-lock count.
+impl Snap for PoolState {
+    fn save(&self, w: &mut SnapWriter) {
+        let PoolState { owner_of, reserved_for, bindings, heat, stats } = self;
+        w.usize(owner_of.len());
+        for owner in owner_of.iter().chain(reserved_for) {
+            owner.map(u64::from).save(w);
+        }
+        bindings.save(w);
+        heat.save(w);
+        stats.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let PoolState { owner_of, reserved_for, bindings, heat, stats } = self;
+        if r.usize()? != owner_of.len() {
+            return Err(SnapError::Corrupt { what: "glock pool physical lock count" });
+        }
+        for owner in owner_of.iter_mut().chain(reserved_for) {
+            *owner = Option::<u64>::decode(r)?
+                .map(u16::try_from)
+                .transpose()
+                .map_err(|_| SnapError::Corrupt { what: "glock pool logical lock id" })?;
+        }
+        bindings.load(r)?;
+        heat.load(r)?;
+        stats.load(r)
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Binding {
     hw: Option<usize>,
     /// Outstanding acquires + holders (hardware or software regime alike).
     refs: u32,
 }
+glocks_sim_base::snap!(Binding { hw, refs });
 
 /// The binding table shared by all dynamic lock backends.
 pub struct GlockPool {
@@ -82,6 +115,7 @@ pub struct GlockPool {
     /// the fault-free configuration).
     healths: RefCell<Vec<Rc<NetworkHealth>>>,
 }
+glocks_sim_base::snap!(shared GlockPool mark "glock-pool" { state; skip regs, healths });
 
 impl GlockPool {
     /// Build a pool over the register files of the CMP's physical GLocks.
@@ -236,75 +270,6 @@ impl GlockPool {
     /// No logical lock has outstanding uses (end-of-run check).
     pub fn is_quiescent(&self) -> bool {
         self.state.borrow().bindings.is_empty()
-    }
-
-    /// Serialize the binding table. The register files and liveness
-    /// handles are shared structure saved by their owning networks; the
-    /// unordered maps are written sorted by logical lock id.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        let st = self.state.borrow();
-        w.mark("glock-pool");
-        w.usize(st.owner_of.len());
-        for o in &st.owner_of {
-            w.opt_u64(o.map(u64::from));
-        }
-        for o in &st.reserved_for {
-            w.opt_u64(o.map(u64::from));
-        }
-        let mut ids: Vec<u16> = st.bindings.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            let b = st.bindings[&id];
-            w.u16(id);
-            w.opt_u64(b.hw.map(|k| k as u64));
-            w.u32(b.refs);
-        }
-        let mut ids: Vec<u16> = st.heat.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            w.u16(id);
-            w.u32(st.heat[&id]);
-        }
-        for v in [st.stats.binds, st.stats.unbinds, st.stats.spills, st.stats.hw_acquires, st.stats.failovers] {
-            w.u64(v);
-        }
-    }
-
-    pub fn load_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect("glock-pool")?;
-        let mut st = self.state.borrow_mut();
-        if r.usize()? != st.owner_of.len() {
-            return Err(SnapError::Corrupt { what: "glock pool physical lock count" });
-        }
-        for o in st.owner_of.iter_mut() {
-            *o = r.opt_u64()?.map(|v| v as u16);
-        }
-        for o in st.reserved_for.iter_mut() {
-            *o = r.opt_u64()?.map(|v| v as u16);
-        }
-        let n = r.usize()?;
-        st.bindings.clear();
-        for _ in 0..n {
-            let id = r.u16()?;
-            let hw = r.opt_u64()?.map(|k| k as usize);
-            let refs = r.u32()?;
-            st.bindings.insert(id, Binding { hw, refs });
-        }
-        let n = r.usize()?;
-        st.heat.clear();
-        for _ in 0..n {
-            let id = r.u16()?;
-            let heat = r.u32()?;
-            st.heat.insert(id, heat);
-        }
-        st.stats.binds = r.u64()?;
-        st.stats.unbinds = r.u64()?;
-        st.stats.spills = r.u64()?;
-        st.stats.hw_acquires = r.u64()?;
-        st.stats.failovers = r.u64()?;
-        Ok(())
     }
 }
 

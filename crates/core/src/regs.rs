@@ -11,7 +11,6 @@
 //! `Rc<GlockRegisters>` with `Cell` fields — modelling memory-mapped
 //! device registers.
 
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -27,6 +26,7 @@ pub struct GlockRegisters {
     /// learn of a grant one resume later.
     holder: Cell<Option<usize>>,
 }
+glocks_sim_base::snap!(shared GlockRegisters { lock_req as fixed, lock_rel as each, holder });
 
 impl GlockRegisters {
     pub fn new(n_cores: usize) -> Rc<Self> {
@@ -116,31 +116,6 @@ impl GlockRegisters {
             c.set(false);
         }
         self.holder.set(None);
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.lock_req.len());
-        for c in &self.lock_req {
-            w.bool(c.get());
-        }
-        for c in &self.lock_rel {
-            w.bool(c.get());
-        }
-        w.opt_u64(self.holder.get().map(|h| h as u64));
-    }
-
-    pub fn load_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if r.usize()? != self.lock_req.len() {
-            return Err(SnapError::Corrupt { what: "glock register core count" });
-        }
-        for c in &self.lock_req {
-            c.set(r.bool()?);
-        }
-        for c in &self.lock_rel {
-            c.set(r.bool()?);
-        }
-        self.holder.set(r.opt_u64()?.map(|h| h as usize));
-        Ok(())
     }
 }
 

@@ -12,7 +12,6 @@
 //! duplicates transmissions according to a deterministic schedule.
 
 use glocks_sim_base::fault::{FaultDecision, FaultInjector};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{CoreId, Cycle};
 
 /// The three 1-bit signal types of the GLocks protocol.
@@ -25,6 +24,7 @@ pub enum Sig {
     /// Give the lock back (controller → manager, manager → parent).
     Rel,
 }
+glocks_sim_base::snap!(enum Sig { 0 => Req, 1 => Token, 2 => Rel });
 
 /// A signal in flight on a G-line.
 #[derive(Clone, Copy, Debug)]
@@ -39,6 +39,7 @@ pub struct InFlight {
     /// `Token`, echoed back on the matching `Rel`; 0 for `Req`.
     pub epoch: u64,
 }
+glocks_sim_base::snap!(InFlight { deliver_at, dst, sig, child_index, epoch });
 
 /// A signal destination inside one lock's controller tree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,6 +50,7 @@ pub enum Endpoint {
     /// A core's local controller.
     Leaf(CoreId),
 }
+glocks_sim_base::snap!(enum Endpoint { 0 => Arb(node), 1 => Leaf(core) });
 
 /// The set of signals currently on the wires of one lock's network.
 #[derive(Debug, Default)]
@@ -62,6 +64,7 @@ pub struct Wires {
     /// arrival falls at or past the death cycle never arrive.
     dead_from: Option<Cycle>,
 }
+glocks_sim_base::snap!(Wires { in_flight, sent, dropped, faults as present, dead_from });
 
 impl Wires {
     pub fn new() -> Self {
@@ -173,75 +176,6 @@ impl Wires {
 
     pub fn is_idle(&self) -> bool {
         self.in_flight.is_empty()
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.in_flight.len());
-        for s in &self.in_flight {
-            w.u64(s.deliver_at);
-            match s.dst {
-                Endpoint::Arb(i) => {
-                    w.u8(0);
-                    w.usize(i);
-                }
-                Endpoint::Leaf(c) => {
-                    w.u8(1);
-                    w.u16(c.0);
-                }
-            }
-            w.u8(match s.sig {
-                Sig::Req => 0,
-                Sig::Token => 1,
-                Sig::Rel => 2,
-            });
-            w.usize(s.child_index);
-            w.u64(s.epoch);
-        }
-        w.u64(self.sent);
-        w.u64(self.dropped);
-        w.bool(self.faults.is_some());
-        if let Some(f) = &self.faults {
-            f.save_state(w);
-        }
-        w.opt_u64(self.dead_from);
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        self.in_flight.clear();
-        for _ in 0..n {
-            let deliver_at = r.u64()?;
-            let dst = match r.u8()? {
-                0 => Endpoint::Arb(r.usize()?),
-                1 => Endpoint::Leaf(CoreId(r.u16()?)),
-                tag => {
-                    return Err(SnapError::BadTag { what: "g-line endpoint", tag: u64::from(tag) })
-                }
-            };
-            let sig = match r.u8()? {
-                0 => Sig::Req,
-                1 => Sig::Token,
-                2 => Sig::Rel,
-                tag => {
-                    return Err(SnapError::BadTag { what: "g-line signal", tag: u64::from(tag) })
-                }
-            };
-            let child_index = r.usize()?;
-            let epoch = r.u64()?;
-            self.in_flight.push(InFlight { deliver_at, dst, sig, child_index, epoch });
-        }
-        self.sent = r.u64()?;
-        self.dropped = r.u64()?;
-        if r.bool()? {
-            match self.faults.as_mut() {
-                Some(f) => f.load_state(r)?,
-                None => return Err(SnapError::Corrupt { what: "g-line fault injector presence" }),
-            }
-        } else if self.faults.is_some() {
-            return Err(SnapError::Corrupt { what: "g-line fault injector presence" });
-        }
-        self.dead_from = r.opt_u64()?;
-        Ok(())
     }
 }
 

@@ -2,8 +2,6 @@
 //! plus an `Idle` bucket for open-loop service workloads (a core sleeping
 //! between request arrivals is doing none of the paper's four things).
 
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-
 /// Where a core cycle is spent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Category {
@@ -32,6 +30,7 @@ pub struct Breakdown {
     /// Dynamic instructions executed (energy-model input).
     pub instructions: u64,
 }
+glocks_sim_base::snap!(Breakdown { busy, memory, lock, barrier, idle, instructions });
 
 impl Breakdown {
     #[inline]
@@ -64,22 +63,6 @@ impl Breakdown {
         self.barrier += other.barrier;
         self.idle += other.idle;
         self.instructions += other.instructions;
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        for v in [self.busy, self.memory, self.lock, self.barrier, self.idle, self.instructions] {
-            w.u64(v);
-        }
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.busy = r.u64()?;
-        self.memory = r.u64()?;
-        self.lock = r.u64()?;
-        self.barrier = r.u64()?;
-        self.idle = r.u64()?;
-        self.instructions = r.u64()?;
-        Ok(())
     }
 
     /// Fractions of the active (non-idle) cycles per category

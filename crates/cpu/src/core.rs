@@ -5,7 +5,7 @@ use crate::breakdown::{Breakdown, Category};
 use crate::program::{Action, BarrierBackend, LockBackend, Script, Step, Workload};
 use crate::tracker::LockTracker;
 use glocks_mem::MemorySystem;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
+use glocks_sim_base::snap::{Decode, Snap, SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::trace::TraceMask;
 use glocks_sim_base::{trace_event, CoreId, Cycle, LockId, ThreadId};
 
@@ -22,6 +22,7 @@ enum SubKind {
     Release(LockId),
     Barrier,
 }
+glocks_sim_base::snap!(enum SubKind { 0 => Acquire(lock), 1 => Release(lock), 2 => Barrier });
 
 struct Sub {
     script: Box<dyn Script>,
@@ -41,6 +42,13 @@ enum State {
     /// Sleeping until this absolute cycle (`Action::WaitUntil`).
     WaitingUntil(Cycle),
 }
+glocks_sim_base::snap!(enum State {
+    0 => Ready,
+    1 => Computing(left),
+    2 => WaitingMem,
+    3 => Finished,
+    4 => WaitingUntil(at),
+});
 
 /// What a core is doing right now, at sub-script granularity — the unit of
 /// the runner's wedge diagnostics. A core spinning inside a lock acquire
@@ -214,43 +222,36 @@ impl Core {
     /// Serialize this core's dynamic state. The workload and any
     /// in-progress lock/barrier sub-script save through their traits, so
     /// this fails with [`SnapError::Unsupported`] unless every piece has
-    /// opted into checkpointing.
+    /// opted into checkpointing. Hand-written, like [`Core::load_state`]
+    /// beside it, because a sub-script is rebuilt by the backend that made
+    /// it.
     pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+        let Core {
+            id: _,
+            tid: _,
+            issue_width: _,
+            state,
+            workload,
+            sub,
+            last_value,
+            breakdown,
+            finished_at,
+            progress_events,
+            halt_at,
+        } = self;
         w.mark("core");
-        match self.state {
-            State::Ready => w.u8(0),
-            State::Computing(left) => {
-                w.u8(1);
-                w.u64(left);
-            }
-            State::WaitingMem => w.u8(2),
-            State::Finished => w.u8(3),
-            State::WaitingUntil(t) => {
-                w.u8(4);
-                w.u64(t);
-            }
-        }
-        self.workload.save_state(w)?;
-        w.bool(self.sub.is_some());
-        if let Some(sub) = &self.sub {
-            match sub.kind {
-                SubKind::Acquire(l) => {
-                    w.u8(0);
-                    w.u16(l.0);
-                }
-                SubKind::Release(l) => {
-                    w.u8(1);
-                    w.u16(l.0);
-                }
-                SubKind::Barrier => w.u8(2),
-            }
+        state.save(w);
+        workload.save_state(w)?;
+        w.bool(sub.is_some());
+        if let Some(sub) = sub {
+            sub.kind.save(w);
             sub.script.save_state(w)?;
         }
-        w.u64(self.last_value);
-        self.breakdown.save_state(w);
-        w.opt_u64(self.finished_at);
-        w.u64(self.progress_events);
-        w.opt_u64(self.halt_at);
+        last_value.save(w);
+        breakdown.save(w);
+        finished_at.save(w);
+        progress_events.save(w);
+        halt_at.save(w);
         Ok(())
     }
 
@@ -263,47 +264,42 @@ impl Core {
         r: &mut SnapReader<'_>,
         backends: &Backends<'_>,
     ) -> Result<(), SnapError> {
+        let Core {
+            id: _,
+            tid,
+            issue_width: _,
+            state,
+            workload,
+            sub,
+            last_value,
+            breakdown,
+            finished_at,
+            progress_events,
+            halt_at,
+        } = self;
         r.expect("core")?;
-        self.state = match r.u8()? {
-            0 => State::Ready,
-            1 => State::Computing(r.u64()?),
-            2 => State::WaitingMem,
-            3 => State::Finished,
-            4 => State::WaitingUntil(r.u64()?),
-            tag => return Err(SnapError::BadTag { what: "core state", tag: u64::from(tag) }),
-        };
-        self.workload.load_state(r)?;
-        self.sub = if r.bool()? {
-            let (kind, script) = match r.u8()? {
-                0 => {
-                    let l = LockId(r.u16()?);
-                    if l.index() >= backends.locks.len() {
-                        return Err(SnapError::Corrupt { what: "core sub-script lock id" });
-                    }
-                    (SubKind::Acquire(l), backends.locks[l.index()].load_acquire_script(self.tid, r)?)
-                }
-                1 => {
-                    let l = LockId(r.u16()?);
-                    if l.index() >= backends.locks.len() {
-                        return Err(SnapError::Corrupt { what: "core sub-script lock id" });
-                    }
-                    (SubKind::Release(l), backends.locks[l.index()].load_release_script(self.tid, r)?)
-                }
-                2 => (SubKind::Barrier, backends.barrier.load_wait_script(self.tid, r)?),
-                tag => {
-                    return Err(SnapError::BadTag { what: "core sub-script kind", tag: u64::from(tag) })
-                }
+        state.load(r)?;
+        workload.load_state(r)?;
+        *sub = if r.bool()? {
+            let kind = SubKind::decode(r)?;
+            let lock = |l: LockId| {
+                let what = "core sub-script lock id";
+                backends.locks.get(l.index()).ok_or(SnapError::Corrupt { what })
+            };
+            let script = match kind {
+                SubKind::Acquire(l) => lock(l)?.load_acquire_script(*tid, r)?,
+                SubKind::Release(l) => lock(l)?.load_release_script(*tid, r)?,
+                SubKind::Barrier => backends.barrier.load_wait_script(*tid, r)?,
             };
             Some(Sub { script, kind })
         } else {
             None
         };
-        self.last_value = r.u64()?;
-        self.breakdown.load_state(r)?;
-        self.finished_at = r.opt_u64()?;
-        self.progress_events = r.u64()?;
-        self.halt_at = r.opt_u64()?;
-        Ok(())
+        last_value.load(r)?;
+        breakdown.load(r)?;
+        finished_at.load(r)?;
+        progress_events.load(r)?;
+        halt_at.load(r)
     }
 
     /// The earliest future cycle at which ticking this core could do

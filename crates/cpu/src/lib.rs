@@ -21,5 +21,7 @@ pub mod tracker;
 
 pub use crate::core::{Backends, Core, CoreActivity};
 pub use breakdown::{Breakdown, Category};
-pub use program::{Action, BarrierBackend, FixedScript, LockBackend, Script, Step, Workload};
+pub use program::{
+    load_script, Action, BarrierBackend, FixedScript, LockBackend, Script, Step, Workload,
+};
 pub use tracker::LockTracker;

@@ -1,7 +1,7 @@
 //! Thread programs, scripts and backend traits.
 
 use glocks_mem::MemOp;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
+use glocks_sim_base::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Cycle, LockId, ThreadId};
 
 /// What a workload thread asks its core to do next.
@@ -179,18 +179,12 @@ pub trait BarrierBackend {
 pub struct FixedScript {
     left: Option<u64>,
 }
+glocks_sim_base::snap!(FixedScript { left });
 
 impl FixedScript {
     /// A script costing `instructions` then done.
     pub fn new(instructions: u64) -> Self {
         FixedScript { left: Some(instructions) }
-    }
-}
-
-impl FixedScript {
-    /// Rebuild a script saved via its [`Script::save_state`].
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FixedScript { left: r.opt_u64()? })
     }
 }
 
@@ -202,10 +196,55 @@ impl Script for FixedScript {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.opt_u64(self.left);
-        Ok(())
-    }
+    crate::snap_methods!(script);
+}
+
+/// Rebuild an in-flight script for a `load_*_script` method: `fresh` is
+/// the script as the backend builds it, without the side effects of
+/// `acquire`/`release`/`wait`, and its saved state loads into it.
+pub fn load_script<S: Script + Snap + 'static>(
+    mut fresh: S,
+    r: &mut SnapReader<'_>,
+) -> Result<Box<dyn Script>, SnapError> {
+    fresh.load(r)?;
+    Ok(Box::new(fresh))
+}
+
+/// Implements a trait's snapshot methods from the type's
+/// [`snap!`](glocks_sim_base::snap!) declaration. Invoke it inside the
+/// trait impl: `snap_methods!(script)` in `impl Script`,
+/// `snap_methods!(workload)` in `impl Workload`, and
+/// `snap_methods!(backend)` in `impl LockBackend` or `impl BarrierBackend`
+/// (whose state is shared with their scripts, so it loads through `&self`).
+#[macro_export]
+macro_rules! snap_methods {
+    (script) => {
+        fn save_state(
+            &self,
+            w: &mut ::glocks_sim_base::snap::SnapWriter,
+        ) -> Result<(), ::glocks_sim_base::snap::SnapError> {
+            ::glocks_sim_base::snap::Snap::save(self, w);
+            Ok(())
+        }
+    };
+    (workload) => {
+        $crate::snap_methods!(script);
+        fn load_state(
+            &mut self,
+            r: &mut ::glocks_sim_base::snap::SnapReader<'_>,
+        ) -> Result<(), ::glocks_sim_base::snap::SnapError> {
+            ::glocks_sim_base::snap::Snap::load(self, r)
+        }
+    };
+    (backend) => {
+        $crate::snap_methods!(script);
+        fn load_state(
+            &self,
+            r: &mut ::glocks_sim_base::snap::SnapReader<'_>,
+        ) -> Result<(), ::glocks_sim_base::snap::SnapError> {
+            ::glocks_sim_base::snap::SnapShared::load_shared(self, r)
+        }
+    };
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 //! 32) on a cycle-by-cycle basis until the lock is granted". `sample` does
 //! exactly that each cycle.
 
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::stats::Histogram;
 use glocks_sim_base::{Cycle, LockId, ThreadId};
 use glocks_stats as gstats;
@@ -40,6 +39,11 @@ struct LockState {
     hold_hist: gstats::HistId,
     handoff_hist: gstats::HistId,
 }
+glocks_sim_base::snap!(LockState {
+    holder as wide, requesters, grac, grants, acquires, wait_cycles, since, held_since,
+    last_release;
+    skip wait_hist, hold_hist, handoff_hist
+});
 
 const GRANT_LOG_CAP: usize = 200_000;
 
@@ -48,6 +52,7 @@ pub struct LockTracker {
     locks: Vec<LockState>,
     max_grac: usize,
 }
+glocks_sim_base::snap!(LockTracker mark "lock-tracker" { locks as fixed; skip max_grac });
 
 impl LockTracker {
     /// `n_locks` workload locks on a CMP with `n_cores` cores (the grAC
@@ -241,50 +246,6 @@ impl LockTracker {
         self.locks
             .iter()
             .all(|l| l.holder.is_none() && l.requesters.is_empty())
-    }
-
-    /// Serialize the tracker's live and accumulated state. The histogram
-    /// registry ids (`wait_hist` etc.) are rebuilt by the constructor.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.mark("lock-tracker");
-        w.usize(self.locks.len());
-        for l in &self.locks {
-            w.opt_u64(l.holder.map(|t| u64::from(t.0)));
-            w.seq(&l.requesters, |w, t| w.u16(t.0));
-            l.grac.save_state(w);
-            w.seq(&l.grants, |w, t| w.u16(t.0));
-            w.u64(l.acquires);
-            w.u64(l.wait_cycles);
-            w.seq(&l.since, |w, &(t, at)| {
-                w.u16(t.0);
-                w.u64(at);
-            });
-            w.opt_u64(l.held_since);
-            w.opt_u64(l.last_release);
-        }
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect("lock-tracker")?;
-        if r.usize()? != self.locks.len() {
-            return Err(SnapError::Corrupt { what: "lock tracker lock count" });
-        }
-        for l in &mut self.locks {
-            l.holder = r.opt_u64()?.map(|t| ThreadId(t as u16));
-            l.requesters = r.seq(|r| Ok(ThreadId(r.u16()?)))?;
-            l.grac.load_state(r)?;
-            l.grants = r.seq(|r| Ok(ThreadId(r.u16()?)))?;
-            l.acquires = r.u64()?;
-            l.wait_cycles = r.u64()?;
-            l.since = r.seq(|r| {
-                let t = ThreadId(r.u16()?);
-                let at = r.u64()?;
-                Ok((t, at))
-            })?;
-            l.held_since = r.opt_u64()?;
-            l.last_release = r.opt_u64()?;
-        }
-        Ok(())
     }
 
     /// Eq. 3 of the paper: each lock's per-grAC contention rate normalized

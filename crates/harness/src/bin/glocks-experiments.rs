@@ -356,7 +356,12 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => cli.opts.quick = true,
-            "--threads" => cli.opts.threads = number(&args, &mut i, "a number"),
+            "--threads" => {
+                cli.opts.threads = number(&args, &mut i, "a number >= 1");
+                if cli.opts.threads == 0 {
+                    bad_value("--threads", "a number >= 1");
+                }
+            }
             "--csv" => cli.csv_dir = Some(value(&args, &mut i)),
             "--stats-json" => cli.stats_dir = Some(value(&args, &mut i)),
             "--chrome-trace" => cli.chrome_trace = Some(value(&args, &mut i)),

@@ -136,6 +136,10 @@ fn parse_cli() -> Cli {
             "--threads" => {
                 i += 1;
                 cli.threads = need(&args, i, "--threads").parse().unwrap_or_else(|_| usage());
+                if cli.threads == 0 {
+                    eprintln!("--threads must be at least 1");
+                    usage()
+                }
             }
             "--mesh" => {
                 i += 1;

@@ -46,6 +46,7 @@ fn unknown_experiment_is_a_usage_error() {
 #[test]
 fn malformed_or_missing_flag_values_are_usage_errors() {
     assert_usage_error(&["fig8", "--threads", "x"], "--threads needs a number");
+    assert_usage_error(&["fig8", "--quick", "--threads", "0"], "--threads needs a number >= 1");
     assert_usage_error(&["fig8", "--threads"], "--threads needs a value");
     assert_usage_error(&["fuzz", "--seed", "0xZZ"], "--seed needs a number");
     assert_usage_error(&["fig8", "--jobs", "0"], "--jobs needs a number >= 1");

@@ -99,3 +99,17 @@ fn snapshot_refuses_a_differently_shaped_machine() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A zero-core machine is rejected at parse time with the usage line,
+/// before anything is built.
+#[test]
+fn zero_threads_is_a_usage_error() {
+    let out = bin()
+        .args(["--bench", "SCTR", "--lock", "GLock", "--threads", "0", "--quick"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--threads must be at least 1"), "stderr: {stderr}");
+    assert!(stderr.contains("usage: glocks-run"), "stderr: {stderr}");
+}

@@ -3,10 +3,10 @@
 //! own slot, in its own cache line.
 
 use crate::layout::slot;
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
 use glocks_mem::{MemOp, RmwKind};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, ThreadId};
+use glocks_sim_base::snap::{SnapError, SnapReader};
+use glocks_sim_base::{snap, Addr, ThreadId};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -21,6 +21,7 @@ pub struct AndersonLock {
     n: u64,
     my_index: Vec<Rc<Cell<u64>>>,
 }
+snap!(shared AndersonLock { my_index as fixed; skip base, n });
 
 impl AndersonLock {
     pub fn new(base: Addr, n_threads: usize) -> Self {
@@ -45,6 +46,7 @@ enum AcqState {
     GotIndex,
     Spinning,
 }
+snap!(enum AcqState { 0 => TakeIndex, 1 => GotIndex, 2 => Spinning });
 
 /// Generation trick: the classic boolean `has_lock` array needs
 /// `has_lock\[0\]` pre-set and per-round resets that race under wraparound.
@@ -61,6 +63,7 @@ struct AndersonAcquire {
     needed: u64,
     spin_addr: Addr,
 }
+snap!(AndersonAcquire { state, needed, spin_addr; skip tail, n, base, my_index });
 
 impl Script for AndersonAcquire {
     fn resume(&mut self, last: u64) -> Step {
@@ -93,27 +96,20 @@ impl Script for AndersonAcquire {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u8(match self.state {
-            AcqState::TakeIndex => 0,
-            AcqState::GotIndex => 1,
-            AcqState::Spinning => 2,
-        });
-        w.u64(self.needed);
-        w.u64(self.spin_addr.0);
-        Ok(())
-    }
+    snap_methods!(script);
 }
 
 enum RelState {
     Bump(Addr),
     Finished,
 }
+snap!(enum RelState { 0 => Bump(slot), 1 => Finished });
 
 /// Release: open the successor's slot by incrementing its open-count.
 struct AndersonRelease {
     state: RelState,
 }
+snap!(AndersonRelease { state });
 
 impl Script for AndersonRelease {
     fn resume(&mut self, _last: u64) -> Step {
@@ -123,21 +119,12 @@ impl Script for AndersonRelease {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        match self.state {
-            RelState::Bump(addr) => {
-                w.u8(0);
-                w.u64(addr.0);
-            }
-            RelState::Finished => w.u8(1),
-        }
-        Ok(())
-    }
+    snap_methods!(script);
 }
 
-impl LockBackend for AndersonLock {
-    fn acquire(&self, tid: ThreadId) -> Box<dyn Script> {
-        Box::new(AndersonAcquire {
+impl AndersonLock {
+    fn acquire_script(&self, tid: ThreadId) -> AndersonAcquire {
+        AndersonAcquire {
             tail: self.tail(),
             n: self.n,
             base: self.base,
@@ -145,80 +132,41 @@ impl LockBackend for AndersonLock {
             my_index: Rc::clone(&self.my_index[tid.index()]),
             needed: 0,
             spin_addr: Addr(0),
-        })
+        }
+    }
+
+    fn release_script(&self, tid: ThreadId) -> AndersonRelease {
+        let ticket = self.my_index[tid.index()].get();
+        let next = (ticket + 1) % self.n;
+        AndersonRelease { state: RelState::Bump(self.slot_addr(next)) }
+    }
+}
+
+impl LockBackend for AndersonLock {
+    fn acquire(&self, tid: ThreadId) -> Box<dyn Script> {
+        Box::new(self.acquire_script(tid))
     }
 
     fn release(&self, tid: ThreadId) -> Box<dyn Script> {
-        let ticket = self.my_index[tid.index()].get();
-        let next = (ticket + 1) % self.n;
-        Box::new(AndersonRelease {
-            state: RelState::Bump(self.slot_addr(next)),
-        })
+        Box::new(self.release_script(tid))
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.usize(self.my_index.len());
-        for t in &self.my_index {
-            w.u64(t.get());
-        }
-        Ok(())
-    }
-
-    fn load_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if r.usize()? != self.my_index.len() {
-            return Err(SnapError::Corrupt { what: "anderson lock thread count" });
-        }
-        for t in &self.my_index {
-            t.set(r.u64()?);
-        }
-        Ok(())
-    }
+    snap_methods!(backend);
 
     fn load_acquire_script(
         &self,
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let state = match r.u8()? {
-            0 => AcqState::TakeIndex,
-            1 => AcqState::GotIndex,
-            2 => AcqState::Spinning,
-            tag => {
-                return Err(SnapError::BadTag {
-                    what: "anderson acquire state",
-                    tag: u64::from(tag),
-                })
-            }
-        };
-        let needed = r.u64()?;
-        let spin_addr = Addr(r.u64()?);
-        Ok(Box::new(AndersonAcquire {
-            tail: self.tail(),
-            n: self.n,
-            base: self.base,
-            state,
-            my_index: Rc::clone(&self.my_index[tid.index()]),
-            needed,
-            spin_addr,
-        }))
+        load_script(self.acquire_script(tid), r)
     }
 
     fn load_release_script(
         &self,
-        _tid: ThreadId,
+        tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let state = match r.u8()? {
-            0 => RelState::Bump(Addr(r.u64()?)),
-            1 => RelState::Finished,
-            tag => {
-                return Err(SnapError::BadTag {
-                    what: "anderson release state",
-                    tag: u64::from(tag),
-                })
-            }
-        };
-        Ok(Box::new(AndersonRelease { state }))
+        load_script(self.release_script(tid), r)
     }
 }
 

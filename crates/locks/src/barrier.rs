@@ -13,10 +13,10 @@
 //! any realistic run length.
 
 use crate::layout::slot;
-use glocks_cpu::{BarrierBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, BarrierBackend, Script, Step};
 use glocks_mem::{MemOp, RmwKind};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, ThreadId};
+use glocks_sim_base::snap::{SnapError, SnapReader};
+use glocks_sim_base::{snap, Addr, ThreadId};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -81,6 +81,7 @@ pub struct TreeBarrier {
     shape: Rc<TreeShape>,
     episodes: Vec<Cell<u64>>,
 }
+snap!(shared TreeBarrier { episodes as fixed; skip base, shape });
 
 impl TreeBarrier {
     pub fn new(base: Addr, n_threads: usize) -> Self {
@@ -117,6 +118,14 @@ enum Phase {
     ReleaseSense,
     Finish,
 }
+snap!(enum Phase {
+    0 => Start,
+    1 => Arrived,
+    2 => Spinning(node),
+    3 => ReleaseCount,
+    4 => ReleaseSense,
+    5 => Finish,
+});
 
 struct TreeWait {
     shape: Rc<TreeShape>,
@@ -130,6 +139,7 @@ struct TreeWait {
     rel_pos: usize,
     phase: Phase,
 }
+snap!(TreeWait { episode, level, group, owned, rel_pos, phase; skip shape, base, tid });
 
 impl Script for TreeWait {
     fn resume(&mut self, last: u64) -> Step {
@@ -199,27 +209,22 @@ impl Script for TreeWait {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u64(self.episode);
-        w.usize(self.level);
-        w.usize(self.group);
-        w.usize(self.owned.len());
-        for &n in &self.owned {
-            w.usize(n);
+    snap_methods!(script);
+}
+
+impl TreeBarrier {
+    fn wait_script(&self, tid: ThreadId, episode: u64) -> TreeWait {
+        TreeWait {
+            shape: Rc::clone(&self.shape),
+            base: self.base,
+            tid: tid.index(),
+            episode,
+            level: 0,
+            group: 0,
+            owned: Vec::new(),
+            rel_pos: 0,
+            phase: Phase::Start,
         }
-        w.usize(self.rel_pos);
-        match self.phase {
-            Phase::Start => w.u8(0),
-            Phase::Arrived => w.u8(1),
-            Phase::Spinning(node) => {
-                w.u8(2);
-                w.usize(node);
-            }
-            Phase::ReleaseCount => w.u8(3),
-            Phase::ReleaseSense => w.u8(4),
-            Phase::Finish => w.u8(5),
-        }
-        Ok(())
     }
 }
 
@@ -227,73 +232,17 @@ impl BarrierBackend for TreeBarrier {
     fn wait(&self, tid: ThreadId) -> Box<dyn Script> {
         let ep = self.episodes[tid.index()].get() + 1;
         self.episodes[tid.index()].set(ep);
-        Box::new(TreeWait {
-            shape: Rc::clone(&self.shape),
-            base: self.base,
-            tid: tid.index(),
-            episode: ep,
-            level: 0,
-            group: 0,
-            owned: Vec::new(),
-            rel_pos: 0,
-            phase: Phase::Start,
-        })
+        Box::new(self.wait_script(tid, ep))
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.usize(self.episodes.len());
-        for e in &self.episodes {
-            w.u64(e.get());
-        }
-        Ok(())
-    }
-
-    fn load_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if r.usize()? != self.episodes.len() {
-            return Err(SnapError::Corrupt { what: "tree barrier thread count" });
-        }
-        for e in &self.episodes {
-            e.set(r.u64()?);
-        }
-        Ok(())
-    }
+    snap_methods!(backend);
 
     fn load_wait_script(
         &self,
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let episode = r.u64()?;
-        let level = r.usize()?;
-        let group = r.usize()?;
-        let n_owned = r.usize()?;
-        let mut owned = Vec::with_capacity(n_owned);
-        for _ in 0..n_owned {
-            owned.push(r.usize()?);
-        }
-        let rel_pos = r.usize()?;
-        let phase = match r.u8()? {
-            0 => Phase::Start,
-            1 => Phase::Arrived,
-            2 => Phase::Spinning(r.usize()?),
-            3 => Phase::ReleaseCount,
-            4 => Phase::ReleaseSense,
-            5 => Phase::Finish,
-            tag => {
-                return Err(SnapError::BadTag { what: "tree wait phase", tag: u64::from(tag) })
-            }
-        };
-        Ok(Box::new(TreeWait {
-            shape: Rc::clone(&self.shape),
-            base: self.base,
-            tid: tid.index(),
-            episode,
-            level,
-            group,
-            owned,
-            rel_pos,
-            phase,
-        }))
+        load_script(self.wait_script(tid, 0), r)
     }
 }
 

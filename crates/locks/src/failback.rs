@@ -33,7 +33,6 @@
 
 use glocks::network::NetworkHealth;
 use glocks::GlockRegisters;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::Cycle;
 use std::cell::Cell;
 use std::rc::Rc;
@@ -63,6 +62,12 @@ pub enum FailbackMode {
     /// quiesces, then re-arming the hardware path.
     Draining,
 }
+glocks_sim_base::snap!(enum FailbackMode {
+    0 => Hardware,
+    1 => SoftwareWait,
+    2 => Probing,
+    3 => Draining,
+});
 
 /// Per-network fail-back state machine (see the module docs). Shared
 /// `Rc`-style with the lock driver; ticked by the runner in the device
@@ -95,6 +100,11 @@ pub struct FailbackCtl {
     /// (published as `sim.failovers`).
     failovers: Cell<u64>,
 }
+glocks_sim_base::snap!(shared FailbackCtl {
+    mode, score, repair_seen_at, probe_stage, probe_core, probe_started, probe_clean,
+    next_probe_at, sw_inflight, failbacks, failovers;
+    skip regs, health
+});
 
 impl FailbackCtl {
     pub fn new(regs: Rc<GlockRegisters>, health: Rc<NetworkHealth>) -> Self {
@@ -275,51 +285,6 @@ impl FailbackCtl {
             FailbackMode::Hardware | FailbackMode::SoftwareWait => None,
             FailbackMode::Probing | FailbackMode::Draining => Some(now),
         }
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u8(match self.mode.get() {
-            FailbackMode::Hardware => 0,
-            FailbackMode::SoftwareWait => 1,
-            FailbackMode::Probing => 2,
-            FailbackMode::Draining => 3,
-        });
-        w.u32(self.score.get());
-        w.u64(self.repair_seen_at.get());
-        w.u8(self.probe_stage.get());
-        w.usize(self.probe_core.get());
-        w.u64(self.probe_started.get());
-        w.bool(self.probe_clean.get());
-        w.u64(self.next_probe_at.get());
-        w.u64(self.sw_inflight.get());
-        w.u64(self.failbacks.get());
-        w.u64(self.failovers.get());
-    }
-
-    pub fn load_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.mode.set(match r.u8()? {
-            0 => FailbackMode::Hardware,
-            1 => FailbackMode::SoftwareWait,
-            2 => FailbackMode::Probing,
-            3 => FailbackMode::Draining,
-            tag => {
-                return Err(SnapError::BadTag {
-                    what: "failback mode",
-                    tag: u64::from(tag),
-                })
-            }
-        });
-        self.score.set(r.u32()?);
-        self.repair_seen_at.set(r.u64()?);
-        self.probe_stage.set(r.u8()?);
-        self.probe_core.set(r.usize()?);
-        self.probe_started.set(r.u64()?);
-        self.probe_clean.set(r.bool()?);
-        self.next_probe_at.set(r.u64()?);
-        self.sw_inflight.set(r.u64()?);
-        self.failbacks.set(r.u64()?);
-        self.failovers.set(r.u64()?);
-        Ok(())
     }
 }
 

@@ -4,15 +4,17 @@
 //! `GL_Lock`.
 
 use glocks::barrier::BarrierRegs;
-use glocks_cpu::{BarrierBackend, Script, Step};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::ThreadId;
+use glocks_cpu::{load_script, snap_methods, BarrierBackend, Script, Step};
+use glocks_sim_base::snap::{SnapError, SnapReader};
+use glocks_sim_base::{snap, ThreadId};
 use std::rc::Rc;
 
 /// Hardware barrier backend over a [`glocks::GBarrierNetwork`]'s registers.
 pub struct GBarrierBackend {
     regs: Rc<BarrierRegs>,
 }
+// Registers are shared structure saved by the owning GBarrierNetwork.
+snap!(shared GBarrierBackend { ; skip regs });
 
 impl GBarrierBackend {
     pub fn new(regs: Rc<BarrierRegs>) -> Self {
@@ -24,12 +26,14 @@ enum Phase {
     Arrive,
     Spin,
 }
+snap!(enum Phase { 0 => Arrive, 1 => Spin });
 
 struct GBarrierWait {
     regs: Rc<BarrierRegs>,
     core: usize,
     phase: Phase,
 }
+snap!(GBarrierWait { phase; skip regs, core });
 
 impl Script for GBarrierWait {
     fn resume(&mut self, _last: u64) -> Step {
@@ -51,13 +55,7 @@ impl Script for GBarrierWait {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u8(match self.phase {
-            Phase::Arrive => 0,
-            Phase::Spin => 1,
-        });
-        Ok(())
-    }
+    snap_methods!(script);
 
     /// Spinning on `barrier_arrive` is inert until the barrier network
     /// (which watches the arrive registers and reports its own wakes)
@@ -67,37 +65,25 @@ impl Script for GBarrierWait {
     }
 }
 
+impl GBarrierBackend {
+    fn wait_script(&self, tid: ThreadId) -> GBarrierWait {
+        GBarrierWait { regs: Rc::clone(&self.regs), core: tid.index(), phase: Phase::Arrive }
+    }
+}
+
 impl BarrierBackend for GBarrierBackend {
     fn wait(&self, tid: ThreadId) -> Box<dyn Script> {
-        Box::new(GBarrierWait {
-            regs: Rc::clone(&self.regs),
-            core: tid.index(),
-            phase: Phase::Arrive,
-        })
+        Box::new(self.wait_script(tid))
     }
 
-    // Registers are shared structure saved by the owning GBarrierNetwork.
-    fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapError> {
-        Ok(())
-    }
-
-    fn load_state(&self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
-    }
+    snap_methods!(backend);
 
     fn load_wait_script(
         &self,
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let phase = match r.u8()? {
-            0 => Phase::Arrive,
-            1 => Phase::Spin,
-            tag => {
-                return Err(SnapError::BadTag { what: "gbarrier wait phase", tag: u64::from(tag) })
-            }
-        };
-        Ok(Box::new(GBarrierWait { regs: Rc::clone(&self.regs), core: tid.index(), phase }))
+        load_script(self.wait_script(tid), r)
     }
 }
 

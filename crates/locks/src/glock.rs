@@ -62,11 +62,11 @@
 //! (or a pool-bound acquire spills).
 
 use crate::failback::{FailbackCtl, FailbackMode};
-use crate::tatas::TatasLock;
+use crate::tatas::{TatasAcquire, TatasLock, TatasRelease};
 use glocks::pool::{GlockPool, PoolDecision};
 use glocks::GlockRegisters;
-use glocks_cpu::{LockBackend, Script, Step};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
+use glocks_sim_base::snap::{Snap, SnapError, SnapReader, SnapShared, SnapWriter};
 use glocks_sim_base::{Addr, ThreadId};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -152,34 +152,63 @@ enum Path {
     Software,
 }
 
-fn save_path(w: &mut SnapWriter, path: Option<Path>) {
-    match path {
-        None => w.u8(0),
-        Some(Path::Hardware(k)) => {
-            w.u8(1);
-            w.usize(k);
-        }
-        Some(Path::Software) => w.u8(2),
-    }
-}
-
-fn load_path(r: &mut SnapReader<'_>) -> Result<Option<Path>, SnapError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(Path::Hardware(r.usize()?))),
-        2 => Ok(Some(Path::Software)),
-        tag => Err(SnapError::BadTag {
-            what: "glock tenure path",
-            tag: u64::from(tag),
-        }),
-    }
-}
-
 /// State shared by a lock's backend and its in-flight scripts.
 struct Driver {
     site: Site,
     fallback: TatasLock,
     path: Vec<Cell<Option<Path>>>,
+}
+
+/// Hand-written: a tenure path is one tag (0 = none, 1 = granted by
+/// network `k`, 2 = software), and only a pinned lock owns the fail-back
+/// controller it saves. Register files, network health and the pool's
+/// binding table are shared structure saved by their owners.
+impl Snap for Driver {
+    fn save(&self, w: &mut SnapWriter) {
+        let Driver { site, fallback: _, path } = self;
+        w.usize(path.len());
+        for cell in path {
+            match cell.get() {
+                None => w.u8(0),
+                Some(Path::Hardware(k)) => {
+                    w.u8(1);
+                    k.save(w);
+                }
+                Some(Path::Software) => w.u8(2),
+            }
+        }
+        if let Site::Pinned(ctl) = site {
+            ctl.save(w);
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.load_shared(r)
+    }
+}
+
+impl SnapShared for Driver {
+    fn load_shared(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Driver { site, fallback: _, path } = self;
+        if r.usize()? != path.len() {
+            return Err(SnapError::Corrupt { what: "glock lock thread count" });
+        }
+        for cell in path {
+            cell.set(match r.u8()? {
+                0 => None,
+                1 => Some(Path::Hardware(r.usize()?)),
+                2 => Some(Path::Software),
+                tag => {
+                    let what = "glock tenure path";
+                    return Err(SnapError::BadTag { what, tag: u64::from(tag) });
+                }
+            });
+        }
+        if let Site::Pinned(ctl) = site {
+            ctl.load_shared(r)?;
+        }
+        Ok(())
+    }
 }
 
 /// The GLock driver (see the module docs).
@@ -219,13 +248,60 @@ enum AcqPhase {
     /// path (or for the drain to abort on re-death).
     FailbackPark,
     /// The software fallback's acquire.
-    Fallback(Box<dyn Script>),
+    Fallback(TatasAcquire),
 }
 
 struct GlockAcquire {
     driver: Rc<Driver>,
     tid: ThreadId,
     phase: AcqPhase,
+}
+
+/// Hand-written: the fallback phase's TATAS script is rebuilt around the
+/// driver's fallback lock.
+impl Snap for GlockAcquire {
+    fn save(&self, w: &mut SnapWriter) {
+        match &self.phase {
+            AcqPhase::Consult => w.u8(0),
+            AcqPhase::SetReq(k) => {
+                w.u8(1);
+                k.save(w);
+            }
+            AcqPhase::Spin(k) => {
+                w.u8(2);
+                k.save(w);
+            }
+            AcqPhase::DrainWait(k) => {
+                w.u8(3);
+                k.save(w);
+            }
+            AcqPhase::FailbackPark => w.u8(4),
+            AcqPhase::Fallback(inner) => {
+                w.u8(5);
+                inner.save(w);
+            }
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.phase = match r.u8()? {
+            0 => AcqPhase::Consult,
+            1 => AcqPhase::SetReq(r.usize()?),
+            2 => AcqPhase::Spin(r.usize()?),
+            3 => AcqPhase::DrainWait(r.usize()?),
+            4 => AcqPhase::FailbackPark,
+            5 => {
+                let mut inner = self.driver.fallback.acquire_script();
+                inner.load(r)?;
+                AcqPhase::Fallback(inner)
+            }
+            tag => {
+                let what = "glock acquire phase";
+                return Err(SnapError::BadTag { what, tag: u64::from(tag) });
+            }
+        };
+        Ok(())
+    }
 }
 
 impl GlockAcquire {
@@ -254,7 +330,7 @@ impl Script for GlockAcquire {
                 self.phase = match pool.begin_acquire(*logical) {
                     PoolDecision::Hardware(k) => AcqPhase::SetReq(k),
                     PoolDecision::Software => {
-                        AcqPhase::Fallback(self.driver.fallback.acquire(self.tid))
+                        AcqPhase::Fallback(self.driver.fallback.acquire_script())
                     }
                 };
                 Step::Compute(POOL_CONSULT_INSTRS)
@@ -298,7 +374,7 @@ impl Script for GlockAcquire {
                 if !site.regs(k).hw_drained() {
                     return Step::Compute(1);
                 }
-                self.phase = AcqPhase::Fallback(self.driver.fallback.acquire(self.tid));
+                self.phase = AcqPhase::Fallback(self.driver.fallback.acquire_script());
                 self.resume(last)
             }
             AcqPhase::FailbackPark => match site.gate(0) {
@@ -317,29 +393,7 @@ impl Script for GlockAcquire {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        match &self.phase {
-            AcqPhase::Consult => w.u8(0),
-            AcqPhase::SetReq(k) => {
-                w.u8(1);
-                w.usize(*k);
-            }
-            AcqPhase::Spin(k) => {
-                w.u8(2);
-                w.usize(*k);
-            }
-            AcqPhase::DrainWait(k) => {
-                w.u8(3);
-                w.usize(*k);
-            }
-            AcqPhase::FailbackPark => w.u8(4),
-            AcqPhase::Fallback(inner) => {
-                w.u8(5);
-                return inner.save_state(w);
-            }
-        }
-        Ok(())
-    }
+    snap_methods!(script);
 
     /// The busy-wait loop is inert while the REQ is still raised *and* the
     /// network is alive: both the grant (register reset) and the death
@@ -360,13 +414,47 @@ enum RelPhase {
     WriteRel(usize),
     Written,
     /// The software fallback's release.
-    Fallback(Box<dyn Script>),
+    Fallback(TatasRelease),
 }
 
 struct GlockRelease {
     driver: Rc<Driver>,
     core: usize,
     phase: RelPhase,
+}
+
+/// Hand-written for the same reason as [`GlockAcquire`]'s.
+impl Snap for GlockRelease {
+    fn save(&self, w: &mut SnapWriter) {
+        match &self.phase {
+            RelPhase::WriteRel(k) => {
+                w.u8(0);
+                k.save(w);
+            }
+            RelPhase::Written => w.u8(1),
+            RelPhase::Fallback(inner) => {
+                w.u8(2);
+                inner.save(w);
+            }
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.phase = match r.u8()? {
+            0 => RelPhase::WriteRel(r.usize()?),
+            1 => RelPhase::Written,
+            2 => {
+                let mut inner = self.driver.fallback.release_script();
+                inner.load(r)?;
+                RelPhase::Fallback(inner)
+            }
+            tag => {
+                let what = "glock release phase";
+                return Err(SnapError::BadTag { what, tag: u64::from(tag) });
+            }
+        };
+        Ok(())
+    }
 }
 
 impl Script for GlockRelease {
@@ -388,20 +476,7 @@ impl Script for GlockRelease {
         step
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        match &self.phase {
-            RelPhase::WriteRel(k) => {
-                w.u8(0);
-                w.usize(*k);
-            }
-            RelPhase::Written => w.u8(1),
-            RelPhase::Fallback(inner) => {
-                w.u8(2);
-                return inner.save_state(w);
-            }
-        }
-        Ok(())
-    }
+    snap_methods!(script);
 }
 
 impl LockBackend for GlockBackend {
@@ -423,7 +498,7 @@ impl LockBackend for GlockBackend {
             .expect("release without a recorded acquire path");
         let phase = match path {
             Path::Hardware(k) => RelPhase::WriteRel(k),
-            Path::Software => RelPhase::Fallback(self.0.fallback.release(tid)),
+            Path::Software => RelPhase::Fallback(self.0.fallback.release_script()),
         };
         Box::new(GlockRelease {
             driver: Rc::clone(&self.0),
@@ -432,31 +507,13 @@ impl LockBackend for GlockBackend {
         })
     }
 
-    // Register files, network health and the pool's binding table are
-    // shared structure saved by their owners; a pinned lock saves its
-    // fail-back controller here.
     fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.seq(&self.0.path, |w, cell| save_path(w, cell.get()));
-        if let Site::Pinned(ctl) = &self.0.site {
-            ctl.save_state(w);
-        }
+        self.0.save(w);
         Ok(())
     }
 
     fn load_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let paths = r.seq(load_path)?;
-        if paths.len() != self.0.path.len() {
-            return Err(SnapError::Corrupt {
-                what: "glock lock thread count",
-            });
-        }
-        for (cell, path) in self.0.path.iter().zip(paths) {
-            cell.set(path);
-        }
-        if let Site::Pinned(ctl) = &self.0.site {
-            ctl.load_state(r)?;
-        }
-        Ok(())
+        self.0.load_shared(r)
     }
 
     fn load_acquire_script(
@@ -464,25 +521,7 @@ impl LockBackend for GlockBackend {
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let phase = match r.u8()? {
-            0 => AcqPhase::Consult,
-            1 => AcqPhase::SetReq(r.usize()?),
-            2 => AcqPhase::Spin(r.usize()?),
-            3 => AcqPhase::DrainWait(r.usize()?),
-            4 => AcqPhase::FailbackPark,
-            5 => AcqPhase::Fallback(self.0.fallback.load_acquire_script(tid, r)?),
-            tag => {
-                return Err(SnapError::BadTag {
-                    what: "glock acquire phase",
-                    tag: u64::from(tag),
-                })
-            }
-        };
-        Ok(Box::new(GlockAcquire {
-            driver: Rc::clone(&self.0),
-            tid,
-            phase,
-        }))
+        load_script(GlockAcquire { driver: Rc::clone(&self.0), tid, phase: AcqPhase::Consult }, r)
     }
 
     fn load_release_script(
@@ -490,22 +529,8 @@ impl LockBackend for GlockBackend {
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let phase = match r.u8()? {
-            0 => RelPhase::WriteRel(r.usize()?),
-            1 => RelPhase::Written,
-            2 => RelPhase::Fallback(self.0.fallback.load_release_script(tid, r)?),
-            tag => {
-                return Err(SnapError::BadTag {
-                    what: "glock release phase",
-                    tag: u64::from(tag),
-                })
-            }
-        };
-        Ok(Box::new(GlockRelease {
-            driver: Rc::clone(&self.0),
-            core: tid.index(),
-            phase,
-        }))
+        let driver = Rc::clone(&self.0);
+        load_script(GlockRelease { driver, core: tid.index(), phase: RelPhase::Written }, r)
     }
 }
 

@@ -5,9 +5,9 @@
 //! ("ideal locks do not deal with the cache coherence protocol ... lock
 //! acquisition and release operations take a single clock cycle each").
 
-use glocks_cpu::{LockBackend, Script, Step};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::ThreadId;
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
+use glocks_sim_base::snap::{SnapError, SnapReader};
+use glocks_sim_base::{snap, ThreadId};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -17,11 +17,13 @@ struct IdealState {
     holder: Option<ThreadId>,
     queue: VecDeque<ThreadId>,
 }
+snap!(IdealState { holder as wide, queue });
 
 /// A magic zero-overhead FIFO lock.
 pub struct IdealLock {
     state: Rc<RefCell<IdealState>>,
 }
+snap!(shared IdealLock { state });
 
 impl IdealLock {
     #[allow(clippy::new_without_default)]
@@ -34,12 +36,14 @@ enum AcqPhase {
     Enqueue,
     Poll,
 }
+snap!(enum AcqPhase { 0 => Enqueue, 1 => Poll });
 
 struct IdealAcquire {
     state: Rc<RefCell<IdealState>>,
     tid: ThreadId,
     phase: AcqPhase,
 }
+snap!(IdealAcquire { phase; skip state, tid });
 
 impl Script for IdealAcquire {
     fn resume(&mut self, _last: u64) -> Step {
@@ -65,13 +69,7 @@ impl Script for IdealAcquire {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u8(match self.phase {
-            AcqPhase::Enqueue => 0,
-            AcqPhase::Poll => 1,
-        });
-        Ok(())
-    }
+    snap_methods!(script);
 }
 
 struct IdealRelease {
@@ -79,6 +77,7 @@ struct IdealRelease {
     tid: ThreadId,
     done: bool,
 }
+snap!(IdealRelease { done; skip state, tid });
 
 impl Script for IdealRelease {
     fn resume(&mut self, _last: u64) -> Step {
@@ -94,59 +93,36 @@ impl Script for IdealRelease {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.bool(self.done);
-        Ok(())
+    snap_methods!(script);
+}
+
+impl IdealLock {
+    fn acquire_script(&self, tid: ThreadId) -> IdealAcquire {
+        IdealAcquire { state: Rc::clone(&self.state), tid, phase: AcqPhase::Enqueue }
+    }
+
+    fn release_script(&self, tid: ThreadId) -> IdealRelease {
+        IdealRelease { state: Rc::clone(&self.state), tid, done: false }
     }
 }
 
 impl LockBackend for IdealLock {
     fn acquire(&self, tid: ThreadId) -> Box<dyn Script> {
-        Box::new(IdealAcquire {
-            state: Rc::clone(&self.state),
-            tid,
-            phase: AcqPhase::Enqueue,
-        })
+        Box::new(self.acquire_script(tid))
     }
 
     fn release(&self, tid: ThreadId) -> Box<dyn Script> {
-        Box::new(IdealRelease { state: Rc::clone(&self.state), tid, done: false })
+        Box::new(self.release_script(tid))
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        let s = self.state.borrow();
-        w.opt_u64(s.holder.map(|t| u64::from(t.0)));
-        w.usize(s.queue.len());
-        for t in &s.queue {
-            w.u16(t.0);
-        }
-        Ok(())
-    }
-
-    fn load_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let mut s = self.state.borrow_mut();
-        s.holder = r.opt_u64()?.map(|v| ThreadId(v as u16));
-        let n = r.usize()?;
-        s.queue.clear();
-        for _ in 0..n {
-            s.queue.push_back(ThreadId(r.u16()?));
-        }
-        Ok(())
-    }
+    snap_methods!(backend);
 
     fn load_acquire_script(
         &self,
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let phase = match r.u8()? {
-            0 => AcqPhase::Enqueue,
-            1 => AcqPhase::Poll,
-            tag => {
-                return Err(SnapError::BadTag { what: "ideal acquire phase", tag: u64::from(tag) })
-            }
-        };
-        Ok(Box::new(IdealAcquire { state: Rc::clone(&self.state), tid, phase }))
+        load_script(self.acquire_script(tid), r)
     }
 
     fn load_release_script(
@@ -154,7 +130,7 @@ impl LockBackend for IdealLock {
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        Ok(Box::new(IdealRelease { state: Rc::clone(&self.state), tid, done: r.bool()? }))
+        load_script(self.release_script(tid), r)
     }
 }
 

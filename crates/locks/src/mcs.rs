@@ -3,10 +3,10 @@
 //! busy-waiting on a unique, locally-cached flag.
 
 use crate::layout::slot;
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
 use glocks_mem::{MemOp, RmwKind};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, ThreadId};
+use glocks_sim_base::snap::{SnapError, SnapReader};
+use glocks_sim_base::{snap, Addr, ThreadId};
 
 /// MCS lock memory layout:
 /// * slot 0 — the tail pointer (0 = null, otherwise a qnode base address);
@@ -15,6 +15,8 @@ use glocks_sim_base::{Addr, ThreadId};
 pub struct McsLock {
     base: Addr,
 }
+// The queue (tail pointer, qnodes) lives entirely in simulated memory.
+snap!(shared McsLock { ; skip base });
 
 impl McsLock {
     pub fn new(base: Addr, _n_threads: usize) -> Self {
@@ -48,14 +50,23 @@ enum AcqState {
     /// Spin until `my.locked == 0`.
     Spinning,
 }
+snap!(enum AcqState {
+    0 => ClearNext,
+    1 => Swap,
+    2 => GotPred,
+    3 => SetLocked { pred_next },
+    4 => Linked,
+    5 => Spinning,
+});
 
-struct McsAcquire {
+pub(crate) struct McsAcquire {
     tail: Addr,
     my_node: u64,
     my_next: Addr,
     my_locked: Addr,
     state: AcqState,
 }
+snap!(McsAcquire { state; skip tail, my_node, my_next, my_locked });
 
 impl Script for McsAcquire {
     fn resume(&mut self, last: u64) -> Step {
@@ -95,20 +106,7 @@ impl Script for McsAcquire {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        match self.state {
-            AcqState::ClearNext => w.u8(0),
-            AcqState::Swap => w.u8(1),
-            AcqState::GotPred => w.u8(2),
-            AcqState::SetLocked { pred_next } => {
-                w.u8(3);
-                w.u64(pred_next.0);
-            }
-            AcqState::Linked => w.u8(4),
-            AcqState::Spinning => w.u8(5),
-        }
-        Ok(())
-    }
+    snap_methods!(script);
 }
 
 enum RelState {
@@ -124,13 +122,22 @@ enum RelState {
     Unlock { locked_addr: Addr },
     Finished,
 }
+snap!(enum RelState {
+    0 => ReadNext,
+    1 => GotNext,
+    2 => CasIssued,
+    3 => WaitLink,
+    4 => Unlock { locked_addr },
+    5 => Finished,
+});
 
-struct McsRelease {
+pub(crate) struct McsRelease {
     tail: Addr,
     my_node: u64,
     my_next: Addr,
     state: RelState,
 }
+snap!(McsRelease { state; skip tail, my_node, my_next });
 
 impl McsRelease {
     /// The `locked` field of the successor qnode whose *base* (= the `next`
@@ -185,72 +192,47 @@ impl Script for McsRelease {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        match self.state {
-            RelState::ReadNext => w.u8(0),
-            RelState::GotNext => w.u8(1),
-            RelState::CasIssued => w.u8(2),
-            RelState::WaitLink => w.u8(3),
-            RelState::Unlock { locked_addr } => {
-                w.u8(4);
-                w.u64(locked_addr.0);
-            }
-            RelState::Finished => w.u8(5),
-        }
-        Ok(())
-    }
+    snap_methods!(script);
 }
 
-impl LockBackend for McsLock {
-    fn acquire(&self, tid: ThreadId) -> Box<dyn Script> {
-        Box::new(McsAcquire {
+impl McsLock {
+    pub(crate) fn acquire_script(&self, tid: ThreadId) -> McsAcquire {
+        McsAcquire {
             tail: self.tail(),
             my_node: self.qnode_next(tid).0,
             my_next: self.qnode_next(tid),
             my_locked: self.qnode_locked(tid),
             state: AcqState::ClearNext,
-        })
+        }
     }
 
-    fn release(&self, tid: ThreadId) -> Box<dyn Script> {
-        Box::new(McsRelease {
+    pub(crate) fn release_script(&self, tid: ThreadId) -> McsRelease {
+        McsRelease {
             tail: self.tail(),
             my_node: self.qnode_next(tid).0,
             my_next: self.qnode_next(tid),
             state: RelState::ReadNext,
-        })
+        }
+    }
+}
+
+impl LockBackend for McsLock {
+    fn acquire(&self, tid: ThreadId) -> Box<dyn Script> {
+        Box::new(self.acquire_script(tid))
     }
 
-    // The queue (tail pointer, qnodes) lives entirely in simulated memory.
-    fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapError> {
-        Ok(())
+    fn release(&self, tid: ThreadId) -> Box<dyn Script> {
+        Box::new(self.release_script(tid))
     }
 
-    fn load_state(&self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
-    }
+    snap_methods!(backend);
 
     fn load_acquire_script(
         &self,
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let state = match r.u8()? {
-            0 => AcqState::ClearNext,
-            1 => AcqState::Swap,
-            2 => AcqState::GotPred,
-            3 => AcqState::SetLocked { pred_next: Addr(r.u64()?) },
-            4 => AcqState::Linked,
-            5 => AcqState::Spinning,
-            tag => return Err(SnapError::BadTag { what: "mcs acquire state", tag: u64::from(tag) }),
-        };
-        Ok(Box::new(McsAcquire {
-            tail: self.tail(),
-            my_node: self.qnode_next(tid).0,
-            my_next: self.qnode_next(tid),
-            my_locked: self.qnode_locked(tid),
-            state,
-        }))
+        load_script(self.acquire_script(tid), r)
     }
 
     fn load_release_script(
@@ -258,21 +240,7 @@ impl LockBackend for McsLock {
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let state = match r.u8()? {
-            0 => RelState::ReadNext,
-            1 => RelState::GotNext,
-            2 => RelState::CasIssued,
-            3 => RelState::WaitLink,
-            4 => RelState::Unlock { locked_addr: Addr(r.u64()?) },
-            5 => RelState::Finished,
-            tag => return Err(SnapError::BadTag { what: "mcs release state", tag: u64::from(tag) }),
-        };
-        Ok(Box::new(McsRelease {
-            tail: self.tail(),
-            my_node: self.qnode_next(tid).0,
-            my_next: self.qnode_next(tid),
-            state,
-        }))
+        load_script(self.release_script(tid), r)
     }
 }
 

@@ -6,10 +6,10 @@
 //! manager latency, which is exactly the gap the paper's dedicated G-line
 //! network closes.
 
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
 use glocks_mem::mplock::MpFabric;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{CoreId, ThreadId};
+use glocks_sim_base::snap::{SnapError, SnapReader};
+use glocks_sim_base::{snap, CoreId, ThreadId};
 use std::rc::Rc;
 
 /// One workload lock backed by a message-passing lock manager.
@@ -19,6 +19,8 @@ pub struct MpLockBackend {
     /// `lock_id % tiles`).
     lock_id: u16,
 }
+// The fabric (outbox, grant flags) is saved with the memory system.
+snap!(shared MpLockBackend { ; skip fabric, lock_id });
 
 impl MpLockBackend {
     pub fn new(fabric: Rc<MpFabric>, lock_id: u16) -> Self {
@@ -30,6 +32,7 @@ enum AcqPhase {
     Send,
     Spin,
 }
+snap!(enum AcqPhase { 0 => Send, 1 => Spin });
 
 struct MpAcquire {
     fabric: Rc<MpFabric>,
@@ -37,6 +40,7 @@ struct MpAcquire {
     core: CoreId,
     phase: AcqPhase,
 }
+snap!(MpAcquire { phase; skip fabric, lock_id, core });
 
 impl Script for MpAcquire {
     fn resume(&mut self, _last: u64) -> Step {
@@ -58,13 +62,7 @@ impl Script for MpAcquire {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u8(match self.phase {
-            AcqPhase::Send => 0,
-            AcqPhase::Spin => 1,
-        });
-        Ok(())
-    }
+    snap_methods!(script);
 }
 
 struct MpRelease {
@@ -73,6 +71,7 @@ struct MpRelease {
     core: CoreId,
     done: bool,
 }
+snap!(MpRelease { done; skip fabric, lock_id, core });
 
 impl Script for MpRelease {
     fn resume(&mut self, _last: u64) -> Step {
@@ -85,58 +84,46 @@ impl Script for MpRelease {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.bool(self.done);
-        Ok(())
+    snap_methods!(script);
+}
+
+impl MpLockBackend {
+    fn acquire_script(&self, tid: ThreadId) -> MpAcquire {
+        MpAcquire {
+            fabric: Rc::clone(&self.fabric),
+            lock_id: self.lock_id,
+            core: CoreId(tid.0),
+            phase: AcqPhase::Send,
+        }
+    }
+
+    fn release_script(&self, tid: ThreadId) -> MpRelease {
+        MpRelease {
+            fabric: Rc::clone(&self.fabric),
+            lock_id: self.lock_id,
+            core: CoreId(tid.0),
+            done: false,
+        }
     }
 }
 
 impl LockBackend for MpLockBackend {
     fn acquire(&self, tid: ThreadId) -> Box<dyn Script> {
-        Box::new(MpAcquire {
-            fabric: Rc::clone(&self.fabric),
-            lock_id: self.lock_id,
-            core: CoreId(tid.0),
-            phase: AcqPhase::Send,
-        })
+        Box::new(self.acquire_script(tid))
     }
 
     fn release(&self, tid: ThreadId) -> Box<dyn Script> {
-        Box::new(MpRelease {
-            fabric: Rc::clone(&self.fabric),
-            lock_id: self.lock_id,
-            core: CoreId(tid.0),
-            done: false,
-        })
+        Box::new(self.release_script(tid))
     }
 
-    // The fabric (outbox, grant flags) is saved with the memory system.
-    fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapError> {
-        Ok(())
-    }
-
-    fn load_state(&self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
-    }
+    snap_methods!(backend);
 
     fn load_acquire_script(
         &self,
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let phase = match r.u8()? {
-            0 => AcqPhase::Send,
-            1 => AcqPhase::Spin,
-            tag => {
-                return Err(SnapError::BadTag { what: "mp-lock acquire phase", tag: u64::from(tag) })
-            }
-        };
-        Ok(Box::new(MpAcquire {
-            fabric: Rc::clone(&self.fabric),
-            lock_id: self.lock_id,
-            core: CoreId(tid.0),
-            phase,
-        }))
+        load_script(self.acquire_script(tid), r)
     }
 
     fn load_release_script(
@@ -144,12 +131,7 @@ impl LockBackend for MpLockBackend {
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        Ok(Box::new(MpRelease {
-            fabric: Rc::clone(&self.fabric),
-            lock_id: self.lock_id,
-            core: CoreId(tid.0),
-            done: r.bool()?,
-        }))
+        load_script(self.release_script(tid), r)
     }
 }
 

@@ -11,11 +11,11 @@
 //! with an exponentially weighted average of the concurrent-acquirer count
 //! sampled at each acquire.
 
-use crate::mcs::McsLock;
-use crate::tatas::TatasLock;
-use glocks_cpu::{LockBackend, Script, Step};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, ThreadId};
+use crate::mcs::{McsAcquire, McsLock, McsRelease};
+use crate::tatas::{TatasAcquire, TatasLock, TatasRelease};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
+use glocks_sim_base::snap::{Decode, Snap, SnapError, SnapReader, SnapShared, SnapWriter};
+use glocks_sim_base::{snap, Addr, ThreadId};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -32,6 +32,7 @@ pub enum Mode {
     Tatas,
     Mcs,
 }
+snap!(enum Mode { 0 => Tatas, 1 => Mcs });
 
 /// Reactive lock: TATAS under low contention, MCS under high.
 pub struct ReactiveLock {
@@ -92,30 +93,88 @@ impl ReactiveLock {
     pub fn switches(&self) -> u64 {
         self.switches.get()
     }
-}
 
-fn mode_tag(mode: Mode) -> u8 {
-    match mode {
-        Mode::Tatas => 0,
-        Mode::Mcs => 1,
+    fn acquire_script(&self, mode: Mode, tid: ThreadId) -> Protocol<TatasAcquire, McsAcquire> {
+        match mode {
+            Mode::Tatas => Protocol::Tatas(self.tatas.acquire_script()),
+            Mode::Mcs => Protocol::Mcs(self.mcs.acquire_script(tid)),
+        }
+    }
+
+    fn release_script(&self, mode: Mode, tid: ThreadId) -> Protocol<TatasRelease, McsRelease> {
+        match mode {
+            Mode::Tatas => Protocol::Tatas(self.tatas.release_script()),
+            Mode::Mcs => Protocol::Mcs(self.mcs.release_script(tid)),
+        }
     }
 }
 
-fn mode_from_tag(tag: u8, what: &'static str) -> Result<Mode, SnapError> {
-    match tag {
-        0 => Ok(Mode::Tatas),
-        1 => Ok(Mode::Mcs),
-        t => Err(SnapError::BadTag { what, tag: u64::from(t) }),
+/// The protocol script a reactive acquire or release wraps. Its variant is
+/// the mode, which the wrapper saves ahead of its own flag.
+enum Protocol<T, M> {
+    Tatas(T),
+    Mcs(M),
+}
+
+impl<T: Script, M: Script> Protocol<T, M> {
+    fn mode(&self) -> Mode {
+        match self {
+            Protocol::Tatas(_) => Mode::Tatas,
+            Protocol::Mcs(_) => Mode::Mcs,
+        }
+    }
+
+    fn resume(&mut self, last: u64) -> Step {
+        match self {
+            Protocol::Tatas(s) => s.resume(last),
+            Protocol::Mcs(s) => s.resume(last),
+        }
+    }
+}
+
+/// The variant's own state only; the wrapper saves the mode and rebuilds
+/// the variant before loading into it.
+impl<T: Snap, M: Snap> Snap for Protocol<T, M> {
+    fn save(&self, w: &mut SnapWriter) {
+        match self {
+            Protocol::Tatas(s) => s.save(w),
+            Protocol::Mcs(s) => s.save(w),
+        }
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match self {
+            Protocol::Tatas(s) => s.load(r),
+            Protocol::Mcs(s) => s.load(r),
+        }
     }
 }
 
 /// Wraps the chosen protocol's script and charges a small decision cost.
-/// `mode` records which protocol `inner` belongs to so a snapshot can
-/// rebuild it through the right backend.
 struct ReactiveScript {
-    inner: Box<dyn Script>,
-    mode: Mode,
+    lock: Rc<ReactiveLock>,
+    tid: ThreadId,
+    inner: Protocol<TatasAcquire, McsAcquire>,
     decided: bool,
+}
+
+/// Hand-written: the mode precedes the decision flag, and the wrapped
+/// script is rebuilt by the protocol the mode names.
+impl Snap for ReactiveScript {
+    fn save(&self, w: &mut SnapWriter) {
+        let ReactiveScript { lock: _, tid: _, inner, decided } = self;
+        inner.mode().save(w);
+        decided.save(w);
+        inner.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let ReactiveScript { lock, tid, inner, decided } = self;
+        let mode = Mode::decode(r)?;
+        decided.load(r)?;
+        *inner = lock.acquire_script(mode, *tid);
+        inner.load(r)
+    }
 }
 
 impl Script for ReactiveScript {
@@ -128,19 +187,34 @@ impl Script for ReactiveScript {
         self.inner.resume(last)
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u8(mode_tag(self.mode));
-        w.bool(self.decided);
-        self.inner.save_state(w)
-    }
+    snap_methods!(script);
 }
 
 /// Release wrapper that drops the reference count once done.
 struct ReactiveRelease {
-    inner: Box<dyn Script>,
-    mode: Mode,
+    lock: Rc<ReactiveLock>,
+    tid: ThreadId,
+    inner: Protocol<TatasRelease, McsRelease>,
     refs: Rc<Cell<u32>>,
     done: bool,
+}
+
+/// Hand-written for the same reason as [`ReactiveScript`]'s.
+impl Snap for ReactiveRelease {
+    fn save(&self, w: &mut SnapWriter) {
+        let ReactiveRelease { lock: _, tid: _, inner, refs: _, done } = self;
+        inner.mode().save(w);
+        done.save(w);
+        inner.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let ReactiveRelease { lock, tid, inner, refs: _, done } = self;
+        let mode = Mode::decode(r)?;
+        done.load(r)?;
+        *inner = lock.release_script(mode, *tid);
+        inner.load(r)
+    }
 }
 
 impl Script for ReactiveRelease {
@@ -153,26 +227,88 @@ impl Script for ReactiveRelease {
         step
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u8(mode_tag(self.mode));
-        w.bool(self.done);
-        self.inner.save_state(w)
-    }
+    snap_methods!(script);
 }
 
 /// The backend needs a sharable refcount for the release wrapper.
 pub struct ReactiveBackend {
-    lock: ReactiveLock,
+    lock: Rc<ReactiveLock>,
     refs: Rc<Cell<u32>>,
 }
 
 impl ReactiveBackend {
     pub fn new(base: Addr, n_threads: usize) -> Self {
-        ReactiveBackend { lock: ReactiveLock::new(base, n_threads), refs: Rc::new(Cell::new(0)) }
+        let lock = Rc::new(ReactiveLock::new(base, n_threads));
+        ReactiveBackend { lock, refs: Rc::new(Cell::new(0)) }
+    }
+
+    fn acquire_script(&self, mode: Mode, tid: ThreadId) -> ReactiveScript {
+        let inner = self.lock.acquire_script(mode, tid);
+        ReactiveScript { lock: Rc::clone(&self.lock), tid, inner, decided: false }
+    }
+
+    fn release_script(&self, mode: Mode, tid: ThreadId) -> ReactiveRelease {
+        let inner = self.lock.release_script(mode, tid);
+        let (lock, refs) = (Rc::clone(&self.lock), Rc::clone(&self.refs));
+        ReactiveRelease { lock, tid, inner, refs, done: false }
     }
 
     pub fn inner(&self) -> &ReactiveLock {
         &self.lock
+    }
+}
+
+/// Hand-written: a thread's recorded mode is one tag (0 = none, else one
+/// more than the mode's own tag).
+impl Snap for ReactiveBackend {
+    fn save(&self, w: &mut SnapWriter) {
+        let ReactiveBackend { lock, refs } = self;
+        let ReactiveLock { tatas: _, mcs: _, mode, refs: lock_refs, estimate, switches, path } =
+            &**lock;
+        mode.save(w);
+        lock_refs.save(w);
+        estimate.save(w);
+        switches.save(w);
+        w.usize(path.len());
+        for cell in path {
+            w.u8(match cell.get() {
+                None => 0,
+                Some(Mode::Tatas) => 1,
+                Some(Mode::Mcs) => 2,
+            });
+        }
+        refs.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.load_shared(r)
+    }
+}
+
+impl SnapShared for ReactiveBackend {
+    fn load_shared(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let ReactiveBackend { lock, refs } = self;
+        let ReactiveLock { tatas: _, mcs: _, mode, refs: lock_refs, estimate, switches, path } =
+            &**lock;
+        mode.load_shared(r)?;
+        lock_refs.load_shared(r)?;
+        estimate.load_shared(r)?;
+        switches.load_shared(r)?;
+        if r.usize()? != path.len() {
+            return Err(SnapError::Corrupt { what: "reactive lock thread count" });
+        }
+        for cell in path {
+            cell.set(match r.u8()? {
+                0 => None,
+                1 => Some(Mode::Tatas),
+                2 => Some(Mode::Mcs),
+                tag => {
+                    let what = "reactive path mode";
+                    return Err(SnapError::BadTag { what, tag: u64::from(tag) });
+                }
+            });
+        }
+        refs.load_shared(r)
     }
 }
 
@@ -185,70 +321,24 @@ impl LockBackend for ReactiveBackend {
         self.lock.refs.set(prior);
         let mode = self.lock.decide();
         self.lock.path[tid.index()].set(Some(mode));
-        let inner = match mode {
-            Mode::Tatas => self.lock.tatas.acquire(tid),
-            Mode::Mcs => self.lock.mcs.acquire(tid),
-        };
-        Box::new(ReactiveScript { inner, mode, decided: false })
+        Box::new(self.acquire_script(mode, tid))
     }
 
     fn release(&self, tid: ThreadId) -> Box<dyn Script> {
         let mode = self.lock.path[tid.index()]
             .take()
             .expect("release without a recorded acquire mode");
-        let inner = match mode {
-            Mode::Tatas => self.lock.tatas.release(tid),
-            Mode::Mcs => self.lock.mcs.release(tid),
-        };
-        Box::new(ReactiveRelease { inner, mode, refs: Rc::clone(&self.refs), done: false })
+        Box::new(self.release_script(mode, tid))
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u8(mode_tag(self.lock.mode.get()));
-        w.u32(self.lock.refs.get());
-        w.f64(self.lock.estimate.get());
-        w.u64(self.lock.switches.get());
-        w.usize(self.lock.path.len());
-        for cell in &self.lock.path {
-            match cell.get() {
-                None => w.u8(0),
-                Some(m) => w.u8(1 + mode_tag(m)),
-            }
-        }
-        w.u32(self.refs.get());
-        Ok(())
-    }
-
-    fn load_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.lock.mode.set(mode_from_tag(r.u8()?, "reactive mode")?);
-        self.lock.refs.set(r.u32()?);
-        self.lock.estimate.set(r.f64()?);
-        self.lock.switches.set(r.u64()?);
-        if r.usize()? != self.lock.path.len() {
-            return Err(SnapError::Corrupt { what: "reactive lock thread count" });
-        }
-        for cell in &self.lock.path {
-            cell.set(match r.u8()? {
-                0 => None,
-                t => Some(mode_from_tag(t - 1, "reactive path mode")?),
-            });
-        }
-        self.refs.set(r.u32()?);
-        Ok(())
-    }
+    snap_methods!(backend);
 
     fn load_acquire_script(
         &self,
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let mode = mode_from_tag(r.u8()?, "reactive acquire mode")?;
-        let decided = r.bool()?;
-        let inner = match mode {
-            Mode::Tatas => self.lock.tatas.load_acquire_script(tid, r)?,
-            Mode::Mcs => self.lock.mcs.load_acquire_script(tid, r)?,
-        };
-        Ok(Box::new(ReactiveScript { inner, mode, decided }))
+        load_script(self.acquire_script(Mode::Tatas, tid), r)
     }
 
     fn load_release_script(
@@ -256,13 +346,7 @@ impl LockBackend for ReactiveBackend {
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let mode = mode_from_tag(r.u8()?, "reactive release mode")?;
-        let done = r.bool()?;
-        let inner = match mode {
-            Mode::Tatas => self.lock.tatas.load_release_script(tid, r)?,
-            Mode::Mcs => self.lock.mcs.load_release_script(tid, r)?,
-        };
-        Ok(Box::new(ReactiveRelease { inner, mode, refs: Rc::clone(&self.refs), done }))
+        load_script(self.release_script(Mode::Tatas, tid), r)
     }
 }
 

@@ -2,10 +2,10 @@
 //! (Section II of the paper).
 
 use crate::layout::slot;
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
 use glocks_mem::{MemOp, RmwKind};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, ThreadId};
+use glocks_sim_base::snap::{SnapError, SnapReader};
+use glocks_sim_base::{snap, Addr, ThreadId};
 
 /// Back-off parameters (Anderson found exponential back-off the most
 /// effective delay form).
@@ -20,6 +20,8 @@ pub struct TatasLock {
     /// Insert exponential delays between attempts.
     backoff: bool,
 }
+// The lock word lives in simulated memory, saved with the memory system.
+snap!(shared TatasLock { ; skip flag, test_first, backoff });
 
 impl TatasLock {
     /// Plain Simple Lock: `test&set` in a tight loop.
@@ -48,14 +50,16 @@ enum AcqState {
     /// Back-off delay issued; retry next.
     BackedOff,
 }
+snap!(enum AcqState { 0 => Try, 1 => Tested, 2 => SetIssued, 3 => BackedOff });
 
-struct TatasAcquire {
+pub(crate) struct TatasAcquire {
     flag: Addr,
     test_first: bool,
     backoff: bool,
     delay: u64,
     state: AcqState,
 }
+snap!(TatasAcquire { state, delay; skip flag, test_first, backoff });
 
 impl Script for TatasAcquire {
     fn resume(&mut self, last: u64) -> Step {
@@ -99,22 +103,14 @@ impl Script for TatasAcquire {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u8(match self.state {
-            AcqState::Try => 0,
-            AcqState::Tested => 1,
-            AcqState::SetIssued => 2,
-            AcqState::BackedOff => 3,
-        });
-        w.u64(self.delay);
-        Ok(())
-    }
+    snap_methods!(script);
 }
 
-struct TatasRelease {
+pub(crate) struct TatasRelease {
     flag: Addr,
     done: bool,
 }
+snap!(TatasRelease { done; skip flag });
 
 impl Script for TatasRelease {
     fn resume(&mut self, _last: u64) -> Step {
@@ -127,57 +123,42 @@ impl Script for TatasRelease {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.bool(self.done);
-        Ok(())
-    }
+    snap_methods!(script);
 }
 
-impl LockBackend for TatasLock {
-    fn acquire(&self, _tid: ThreadId) -> Box<dyn Script> {
-        Box::new(TatasAcquire {
+impl TatasLock {
+    pub(crate) fn acquire_script(&self) -> TatasAcquire {
+        TatasAcquire {
             flag: self.flag,
             test_first: self.test_first,
             backoff: self.backoff,
             delay: BACKOFF_BASE,
             state: AcqState::Try,
-        })
+        }
+    }
+
+    pub(crate) fn release_script(&self) -> TatasRelease {
+        TatasRelease { flag: self.flag, done: false }
+    }
+}
+
+impl LockBackend for TatasLock {
+    fn acquire(&self, _tid: ThreadId) -> Box<dyn Script> {
+        Box::new(self.acquire_script())
     }
 
     fn release(&self, _tid: ThreadId) -> Box<dyn Script> {
-        Box::new(TatasRelease { flag: self.flag, done: false })
+        Box::new(self.release_script())
     }
 
-    // The lock word itself lives in simulated memory (saved with the
-    // memory system); the backend carries no dynamic state of its own.
-    fn save_state(&self, _w: &mut SnapWriter) -> Result<(), SnapError> {
-        Ok(())
-    }
-
-    fn load_state(&self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
-    }
+    snap_methods!(backend);
 
     fn load_acquire_script(
         &self,
         _tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let state = match r.u8()? {
-            0 => AcqState::Try,
-            1 => AcqState::Tested,
-            2 => AcqState::SetIssued,
-            3 => AcqState::BackedOff,
-            tag => return Err(SnapError::BadTag { what: "tatas acquire state", tag: u64::from(tag) }),
-        };
-        let delay = r.u64()?;
-        Ok(Box::new(TatasAcquire {
-            flag: self.flag,
-            test_first: self.test_first,
-            backoff: self.backoff,
-            delay,
-            state,
-        }))
+        load_script(self.acquire_script(), r)
     }
 
     fn load_release_script(
@@ -185,7 +166,7 @@ impl LockBackend for TatasLock {
         _tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        Ok(Box::new(TatasRelease { flag: self.flag, done: r.bool()? }))
+        load_script(self.release_script(), r)
     }
 }
 

@@ -2,10 +2,10 @@
 //! counter (Section II).
 
 use crate::layout::slot;
-use glocks_cpu::{LockBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
 use glocks_mem::{MemOp, RmwKind};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, ThreadId};
+use glocks_sim_base::snap::{SnapError, SnapReader};
+use glocks_sim_base::{snap, Addr, ThreadId};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -17,6 +17,7 @@ pub struct TicketLock {
     /// (shared with the in-flight acquire script).
     my_ticket: Vec<Rc<Cell<u64>>>,
 }
+snap!(shared TicketLock { my_ticket as fixed; skip ticket, serving });
 
 impl TicketLock {
     pub fn new(base: Addr, n_threads: usize) -> Self {
@@ -33,6 +34,7 @@ enum AcqState {
     GotTicket,
     Spinning,
 }
+snap!(enum AcqState { 0 => TakeTicket, 1 => GotTicket, 2 => Spinning });
 
 struct TicketAcquire {
     ticket: Addr,
@@ -40,6 +42,7 @@ struct TicketAcquire {
     state: AcqState,
     mine: Rc<Cell<u64>>,
 }
+snap!(TicketAcquire { state; skip ticket, serving, mine });
 
 impl Script for TicketAcquire {
     fn resume(&mut self, last: u64) -> Step {
@@ -65,14 +68,7 @@ impl Script for TicketAcquire {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u8(match self.state {
-            AcqState::TakeTicket => 0,
-            AcqState::GotTicket => 1,
-            AcqState::Spinning => 2,
-        });
-        Ok(())
-    }
+    snap_methods!(script);
 }
 
 struct TicketRelease {
@@ -80,6 +76,7 @@ struct TicketRelease {
     next: u64,
     done: bool,
 }
+snap!(TicketRelease { next, done; skip serving });
 
 impl Script for TicketRelease {
     fn resume(&mut self, _last: u64) -> Step {
@@ -92,76 +89,53 @@ impl Script for TicketRelease {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u64(self.next);
-        w.bool(self.done);
-        Ok(())
+    snap_methods!(script);
+}
+
+impl TicketLock {
+    fn acquire_script(&self, tid: ThreadId) -> TicketAcquire {
+        TicketAcquire {
+            ticket: self.ticket,
+            serving: self.serving,
+            state: AcqState::TakeTicket,
+            mine: Rc::clone(&self.my_ticket[tid.index()]),
+        }
+    }
+
+    fn release_script(&self, tid: ThreadId) -> TicketRelease {
+        TicketRelease {
+            serving: self.serving,
+            next: self.my_ticket[tid.index()].get() + 1,
+            done: false,
+        }
     }
 }
 
 impl LockBackend for TicketLock {
     fn acquire(&self, tid: ThreadId) -> Box<dyn Script> {
-        Box::new(TicketAcquire {
-            ticket: self.ticket,
-            serving: self.serving,
-            state: AcqState::TakeTicket,
-            mine: Rc::clone(&self.my_ticket[tid.index()]),
-        })
+        Box::new(self.acquire_script(tid))
     }
 
     fn release(&self, tid: ThreadId) -> Box<dyn Script> {
-        Box::new(TicketRelease {
-            serving: self.serving,
-            next: self.my_ticket[tid.index()].get() + 1,
-            done: false,
-        })
+        Box::new(self.release_script(tid))
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.usize(self.my_ticket.len());
-        for t in &self.my_ticket {
-            w.u64(t.get());
-        }
-        Ok(())
-    }
-
-    fn load_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if r.usize()? != self.my_ticket.len() {
-            return Err(SnapError::Corrupt { what: "ticket lock thread count" });
-        }
-        for t in &self.my_ticket {
-            t.set(r.u64()?);
-        }
-        Ok(())
-    }
+    snap_methods!(backend);
 
     fn load_acquire_script(
         &self,
         tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        let state = match r.u8()? {
-            0 => AcqState::TakeTicket,
-            1 => AcqState::GotTicket,
-            2 => AcqState::Spinning,
-            tag => {
-                return Err(SnapError::BadTag { what: "ticket acquire state", tag: u64::from(tag) })
-            }
-        };
-        Ok(Box::new(TicketAcquire {
-            ticket: self.ticket,
-            serving: self.serving,
-            state,
-            mine: Rc::clone(&self.my_ticket[tid.index()]),
-        }))
+        load_script(self.acquire_script(tid), r)
     }
 
     fn load_release_script(
         &self,
-        _tid: ThreadId,
+        tid: ThreadId,
         r: &mut SnapReader<'_>,
     ) -> Result<Box<dyn Script>, SnapError> {
-        Ok(Box::new(TicketRelease { serving: self.serving, next: r.u64()?, done: r.bool()? }))
+        load_script(self.release_script(tid), r)
     }
 }
 

@@ -3,7 +3,7 @@
 //! Used twice: as the L1 tag/state array (state = MESI state) and as the L2
 //! slice's data-presence array (state = `()`, timing only).
 
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
+use glocks_sim_base::snap::{fixed, Decode, Snap, SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::LineAddr;
 
 #[derive(Clone, Debug)]
@@ -13,6 +13,7 @@ struct Way<S> {
     /// Monotone use-stamp; the smallest stamp in a set is the LRU victim.
     stamp: u64,
 }
+glocks_sim_base::snap!(Way<S> { line, stamp, state });
 
 /// Set-associative, true-LRU cache array.
 #[derive(Clone, Debug)]
@@ -20,6 +21,26 @@ pub struct CacheArray<S> {
     sets: Vec<Vec<Way<S>>>,
     ways: usize,
     clock: u64,
+}
+
+/// Hand-written: a loaded set may not hold more lines than the array has
+/// ways.
+impl<S: Decode> Snap for CacheArray<S> {
+    fn save(&self, w: &mut SnapWriter) {
+        let CacheArray { sets, ways: _, clock } = self;
+        clock.save(w);
+        fixed::save(sets, w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let CacheArray { sets, ways, clock } = self;
+        clock.load(r)?;
+        fixed::load(sets, r)?;
+        if sets.iter().any(|set| set.len() > *ways) {
+            return Err(SnapError::Corrupt { what: "cache array way count" });
+        }
+        Ok(())
+    }
 }
 
 impl<S> CacheArray<S> {
@@ -97,46 +118,6 @@ impl<S> CacheArray<S> {
     /// Iterate over all resident lines and their states.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &S)> {
         self.sets.iter().flatten().map(|w| (w.line, &w.state))
-    }
-
-    /// Serialize resident lines with their LRU stamps (set membership and
-    /// within-set order are part of the replacement behavior).
-    pub fn save_state(&self, w: &mut SnapWriter, save_way: &mut dyn FnMut(&mut SnapWriter, &S)) {
-        w.u64(self.clock);
-        w.usize(self.sets.len());
-        for set in &self.sets {
-            w.usize(set.len());
-            for way in set {
-                w.u64(way.line.0);
-                w.u64(way.stamp);
-                save_way(w, &way.state);
-            }
-        }
-    }
-
-    pub fn load_state(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        load_way: &mut dyn FnMut(&mut SnapReader<'_>) -> Result<S, SnapError>,
-    ) -> Result<(), SnapError> {
-        self.clock = r.u64()?;
-        if r.usize()? != self.sets.len() {
-            return Err(SnapError::Corrupt { what: "cache array set count" });
-        }
-        for set in &mut self.sets {
-            let n = r.usize()?;
-            if n > self.ways {
-                return Err(SnapError::Corrupt { what: "cache array way count" });
-            }
-            set.clear();
-            for _ in 0..n {
-                let line = LineAddr(r.u64()?);
-                let stamp = r.u64()?;
-                let state = load_way(r)?;
-                set.push(Way { line, state, stamp });
-            }
-        }
-        Ok(())
     }
 }
 

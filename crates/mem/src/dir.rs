@@ -18,7 +18,6 @@ use crate::msg::{CoherenceMsg, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet};
 use glocks_sim_base::fault::{FaultDecision, FaultInjector};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::stats::CounterSet;
 use glocks_sim_base::trace::TraceMask;
 use glocks_sim_base::{trace_event, CmpConfig, CoreId, Cycle, LineAddr, TileId};
@@ -38,6 +37,7 @@ pub enum DirState {
     /// Cached exclusively (E or M) by one core; L2 data may be stale.
     Owned(CoreId),
 }
+glocks_sim_base::snap!(enum DirState { 0 => Uncached, 1 => Shared(sharers), 2 => Owned(core) });
 
 /// Request kinds processed as directory transactions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,58 +48,9 @@ enum ReqKind {
     PutM,
     PutE,
 }
-
-impl DirState {
-    fn save_state(self, w: &mut SnapWriter) {
-        match self {
-            DirState::Uncached => w.u8(0),
-            DirState::Shared(s) => {
-                w.u8(1);
-                w.u64(s as u64);
-                w.u64((s >> 64) as u64);
-            }
-            DirState::Owned(c) => {
-                w.u8(2);
-                w.u16(c.0);
-            }
-        }
-    }
-
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => DirState::Uncached,
-            1 => {
-                let lo = r.u64()? as u128;
-                let hi = r.u64()? as u128;
-                DirState::Shared(lo | (hi << 64))
-            }
-            2 => DirState::Owned(CoreId(r.u16()?)),
-            tag => return Err(SnapError::BadTag { what: "directory state", tag: u64::from(tag) }),
-        })
-    }
-}
+glocks_sim_base::snap!(enum ReqKind { 0 => GetS, 1 => GetM, 2 => UpgradeM, 3 => PutM, 4 => PutE });
 
 impl ReqKind {
-    fn save_state(self, w: &mut SnapWriter) {
-        w.u8(match self {
-            ReqKind::GetS => 0,
-            ReqKind::GetM => 1,
-            ReqKind::UpgradeM => 2,
-            ReqKind::PutM => 3,
-            ReqKind::PutE => 4,
-        });
-    }
-
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => ReqKind::GetS,
-            1 => ReqKind::GetM,
-            2 => ReqKind::UpgradeM,
-            3 => ReqKind::PutM,
-            4 => ReqKind::PutE,
-            tag => return Err(SnapError::BadTag { what: "directory request", tag: u64::from(tag) }),
-        })
-    }
 
     fn of(msg: &CoherenceMsg) -> Option<(CoreId, ReqKind)> {
         match *msg {
@@ -124,35 +75,12 @@ enum Phase {
     /// Data fetch or reply send scheduled; no message can affect us.
     Completing,
 }
-
-impl Phase {
-    fn save_state(self, w: &mut SnapWriter) {
-        match self {
-            Phase::Deciding => w.u8(0),
-            Phase::AwaitOwner { owner } => {
-                w.u8(1);
-                w.u16(owner.0);
-            }
-            Phase::AwaitAcks { acks_left } => {
-                w.u8(2);
-                w.u32(acks_left);
-            }
-            Phase::Completing => w.u8(3),
-        }
-    }
-
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => Phase::Deciding,
-            1 => Phase::AwaitOwner { owner: CoreId(r.u16()?) },
-            2 => Phase::AwaitAcks { acks_left: r.u32()? },
-            3 => Phase::Completing,
-            tag => {
-                return Err(SnapError::BadTag { what: "directory txn phase", tag: u64::from(tag) })
-            }
-        })
-    }
-}
+glocks_sim_base::snap!(enum Phase {
+    0 => Deciding,
+    1 => AwaitOwner { owner },
+    2 => AwaitAcks { acks_left },
+    3 => Completing,
+});
 
 #[derive(Clone, Copy, Debug)]
 struct Busy {
@@ -160,6 +88,7 @@ struct Busy {
     kind: ReqKind,
     phase: Phase,
 }
+glocks_sim_base::snap!(Busy { requester, kind, phase });
 
 #[derive(Clone, Debug)]
 struct DirEntry {
@@ -167,6 +96,7 @@ struct DirEntry {
     busy: Option<Busy>,
     pending: VecDeque<(CoreId, ReqKind)>,
 }
+glocks_sim_base::snap!(DirEntry { state, busy, pending });
 
 impl DirEntry {
     fn new() -> Self {
@@ -193,51 +123,11 @@ enum DirEvent {
         put_ack_to: Option<CoreId>,
     },
 }
-
-impl DirEvent {
-    fn save_state(&self, w: &mut SnapWriter) {
-        match self {
-            DirEvent::StartNext(line) => {
-                w.u8(0);
-                w.u64(line.0);
-            }
-            DirEvent::Act(line) => {
-                w.u8(1);
-                w.u64(line.0);
-            }
-            DirEvent::Finish { line, msg, dst, final_state, put_ack_to } => {
-                w.u8(2);
-                w.u64(line.0);
-                msg.save_state(w);
-                w.u16(dst.0);
-                final_state.save_state(w);
-                match put_ack_to {
-                    None => w.bool(false),
-                    Some(c) => {
-                        w.bool(true);
-                        w.u16(c.0);
-                    }
-                }
-            }
-        }
-    }
-
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => DirEvent::StartNext(LineAddr(r.u64()?)),
-            1 => DirEvent::Act(LineAddr(r.u64()?)),
-            2 => {
-                let line = LineAddr(r.u64()?);
-                let msg = CoherenceMsg::load_state(r)?;
-                let dst = CoreId(r.u16()?);
-                let final_state = DirState::load_state(r)?;
-                let put_ack_to = if r.bool()? { Some(CoreId(r.u16()?)) } else { None };
-                DirEvent::Finish { line, msg, dst, final_state, put_ack_to }
-            }
-            tag => return Err(SnapError::BadTag { what: "directory event", tag: u64::from(tag) }),
-        })
-    }
-}
+glocks_sim_base::snap!(enum DirEvent {
+    0 => StartNext(line),
+    1 => Act(line),
+    2 => Finish { line, msg, dst, final_state, put_ack_to },
+});
 
 /// Directory + L2-slice controller of one home tile.
 pub struct Directory {
@@ -253,6 +143,11 @@ pub struct Directory {
     data_bytes: u32,
     faults: Option<FaultInjector>,
 }
+// The entry map is unordered; it is saved sorted by line address.
+glocks_sim_base::snap!(Directory mark "directory" {
+    entries, l2_array, events, counters, faults as present;
+    skip tile, tag_latency, data_latency, mem_latency, ctrl_bytes, data_bytes
+});
 
 impl Directory {
     pub fn new(tile: TileId, cfg: &CmpConfig) -> Self {
@@ -365,81 +260,6 @@ impl Directory {
         if self.l2_array.lookup(line).is_none() {
             self.l2_array.insert(line, ());
         }
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.mark("directory");
-        // The entry map is unordered; serialize sorted by line address.
-        let mut lines: Vec<u64> = self.entries.keys().copied().collect();
-        lines.sort_unstable();
-        w.usize(lines.len());
-        for line in lines {
-            let e = &self.entries[&line];
-            w.u64(line);
-            e.state.save_state(w);
-            match &e.busy {
-                None => w.bool(false),
-                Some(b) => {
-                    w.bool(true);
-                    w.u16(b.requester.0);
-                    b.kind.save_state(w);
-                    b.phase.save_state(w);
-                }
-            }
-            w.usize(e.pending.len());
-            for (c, k) in &e.pending {
-                w.u16(c.0);
-                k.save_state(w);
-            }
-        }
-        self.l2_array.save_state(w, &mut |_, ()| {});
-        self.events.save_state(w, &mut |w, ev| ev.save_state(w));
-        self.counters.save_state(w);
-        w.bool(self.faults.is_some());
-        if let Some(f) = &self.faults {
-            f.save_state(w);
-        }
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect("directory")?;
-        let n = r.usize()?;
-        self.entries.clear();
-        for _ in 0..n {
-            let line = r.u64()?;
-            let state = DirState::load_state(r)?;
-            let busy = if r.bool()? {
-                Some(Busy {
-                    requester: CoreId(r.u16()?),
-                    kind: ReqKind::load_state(r)?,
-                    phase: Phase::load_state(r)?,
-                })
-            } else {
-                None
-            };
-            let n_pending = r.usize()?;
-            let mut pending = VecDeque::with_capacity(n_pending);
-            for _ in 0..n_pending {
-                let c = CoreId(r.u16()?);
-                let k = ReqKind::load_state(r)?;
-                pending.push_back((c, k));
-            }
-            self.entries.insert(line, DirEntry { state, busy, pending });
-        }
-        self.l2_array.load_state(r, &mut |_| Ok(()))?;
-        self.events.load_state(r, &mut DirEvent::load_state)?;
-        self.counters.load_state(r)?;
-        if r.bool()? {
-            match self.faults.as_mut() {
-                Some(f) => f.load_state(r)?,
-                None => {
-                    return Err(SnapError::Corrupt { what: "directory fault injector presence" })
-                }
-            }
-        } else if self.faults.is_some() {
-            return Err(SnapError::Corrupt { what: "directory fault injector presence" });
-        }
-        Ok(())
     }
 
     /// Handle a message addressed to this directory.

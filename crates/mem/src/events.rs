@@ -3,7 +3,7 @@
 //! Ties at the same cycle are broken by insertion order (FIFO), which keeps
 //! the whole simulation bit-reproducible.
 
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
+use glocks_sim_base::snap::{Decode, Snap, SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -13,6 +13,7 @@ struct Entry<T> {
     seq: u64,
     item: T,
 }
+glocks_sim_base::snap!(Entry<T> { at, seq, item });
 
 impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
@@ -40,6 +41,38 @@ pub struct EventQueue<T> {
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
+    }
+}
+
+/// Hand-written: the heap is saved in `(at, seq)` order, and a loaded
+/// sequence number must lie below `next_seq`.
+impl<T: Decode> Snap for EventQueue<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        let EventQueue { heap, next_seq } = self;
+        next_seq.save(w);
+        let mut entries: Vec<&Entry<T>> = heap.iter().map(|Reverse(e)| e).collect();
+        entries.sort();
+        w.usize(entries.len());
+        entries.into_iter().for_each(|e| e.save(w));
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let EventQueue { heap, next_seq } = self;
+        next_seq.load(r)?;
+        let entries = Vec::<Entry<T>>::decode(r)?;
+        if entries.iter().any(|e| e.seq >= *next_seq) {
+            return Err(SnapError::Corrupt { what: "event queue sequence number" });
+        }
+        *heap = entries.into_iter().map(Reverse).collect();
+        Ok(())
+    }
+}
+
+impl<T: Decode> Decode for EventQueue<T> {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut q = Self::new();
+        q.load(r)?;
+        Ok(q)
     }
 }
 
@@ -75,41 +108,6 @@ impl<T> EventQueue<T> {
     /// Cycle of the earliest pending event, if any.
     pub fn next_due(&self) -> Option<Cycle> {
         self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
-    /// Serialize entries in deterministic `(at, seq)` order with their raw
-    /// sequence numbers, so a restored queue pops in exactly the same order
-    /// and new events keep strictly increasing sequence numbers.
-    pub fn save_state(&self, w: &mut SnapWriter, save_item: &mut dyn FnMut(&mut SnapWriter, &T)) {
-        w.u64(self.next_seq);
-        let mut entries: Vec<&Entry<T>> = self.heap.iter().map(|Reverse(e)| e).collect();
-        entries.sort_by_key(|e| (e.at, e.seq));
-        w.usize(entries.len());
-        for e in entries {
-            w.u64(e.at);
-            w.u64(e.seq);
-            save_item(w, &e.item);
-        }
-    }
-
-    pub fn load_state(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        load_item: &mut dyn FnMut(&mut SnapReader<'_>) -> Result<T, SnapError>,
-    ) -> Result<(), SnapError> {
-        self.next_seq = r.u64()?;
-        let n = r.usize()?;
-        self.heap.clear();
-        for _ in 0..n {
-            let at = r.u64()?;
-            let seq = r.u64()?;
-            if seq >= self.next_seq {
-                return Err(SnapError::Corrupt { what: "event queue sequence number" });
-            }
-            let item = load_item(r)?;
-            self.heap.push(Reverse(Entry { at, seq, item }));
-        }
-        Ok(())
     }
 }
 

@@ -11,7 +11,6 @@ use crate::events::EventQueue;
 use crate::msg::{CoherenceMsg, MemOp, MemResult, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::stats::CounterSet;
 use glocks_sim_base::trace::TraceMask;
 use glocks_sim_base::{trace_event, CmpConfig, CoreId, Cycle, LineAddr, TileId};
@@ -23,25 +22,7 @@ pub enum L1State {
     Exclusive,
     Modified,
 }
-
-impl L1State {
-    fn save_state(self, w: &mut SnapWriter) {
-        w.u8(match self {
-            L1State::Shared => 0,
-            L1State::Exclusive => 1,
-            L1State::Modified => 2,
-        });
-    }
-
-    fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => L1State::Shared,
-            1 => L1State::Exclusive,
-            2 => L1State::Modified,
-            tag => return Err(SnapError::BadTag { what: "l1 mesi state", tag: u64::from(tag) }),
-        })
-    }
-}
+glocks_sim_base::snap!(enum L1State { 0 => Shared, 1 => Exclusive, 2 => Modified });
 
 #[derive(Clone, Copy, Debug)]
 struct Pending {
@@ -53,11 +34,7 @@ struct Pending {
     /// until its `PutAck` arrives.
     stalled_on_wb: bool,
 }
-
-enum L1Event {
-    /// Tag/data access completes; decide hit or miss.
-    Access(MemOp),
-}
+glocks_sim_base::snap!(Pending { op, line, is_upgrade, stalled_on_wb });
 
 /// One L1 data cache + controller.
 pub struct L1Cache {
@@ -66,7 +43,8 @@ pub struct L1Cache {
     pending: Option<Pending>,
     /// Lines evicted from the array, awaiting `PutAck`.
     wb: Vec<LineAddr>,
-    events: EventQueue<L1Event>,
+    /// Tag/data accesses in flight; each decides hit or miss when due.
+    events: EventQueue<MemOp>,
     done: Option<MemResult>,
     counters: CounterSet,
     /// Submit cycle of the in-flight op, for the miss-latency histogram.
@@ -79,6 +57,10 @@ pub struct L1Cache {
     ctrl_bytes: u32,
     data_bytes: u32,
 }
+glocks_sim_base::snap!(L1Cache mark "l1" {
+    array, pending, wb, events, done, counters, submitted_at;
+    skip core, miss_hist, l1_latency, line_bytes, num_tiles, ctrl_bytes, data_bytes
+});
 
 impl L1Cache {
     pub fn new(core: CoreId, cfg: &CmpConfig) -> Self {
@@ -121,7 +103,7 @@ impl L1Cache {
         assert!(!self.busy(), "core {} submitted while L1 busy", self.core);
         self.counters.add("l1_access", 1);
         self.submitted_at = Some(now);
-        self.events.schedule(now + self.l1_latency, L1Event::Access(op));
+        self.events.schedule(now + self.l1_latency, op);
     }
 
     /// Retrieve the completion of the last submitted operation, if ready.
@@ -195,10 +177,8 @@ impl L1Cache {
 
     /// Process due internal events (the tag-access pipeline).
     pub fn tick(&mut self, now: Cycle, store: &mut WordStore, net: &mut MeshNoc<SysMsg>) {
-        while let Some((at, ev)) = self.events.pop_due(now) {
-            match ev {
-                L1Event::Access(op) => self.access(op, at, store, net),
-            }
+        while let Some((at, op)) = self.events.pop_due(now) {
+            self.access(op, at, store, net);
         }
     }
 
@@ -384,54 +364,6 @@ impl L1Cache {
             }
             other => unreachable!("L1 received a directory-bound message: {other:?}"),
         }
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.mark("l1");
-        self.array.save_state(w, &mut |w, &s| s.save_state(w));
-        match &self.pending {
-            None => w.bool(false),
-            Some(p) => {
-                w.bool(true);
-                p.op.save_state(w);
-                w.u64(p.line.0);
-                w.bool(p.is_upgrade);
-                w.bool(p.stalled_on_wb);
-            }
-        }
-        w.seq(&self.wb, |w, l| w.u64(l.0));
-        self.events.save_state(w, &mut |w, L1Event::Access(op)| op.save_state(w));
-        match &self.done {
-            None => w.bool(false),
-            Some(res) => {
-                w.bool(true);
-                res.save_state(w);
-            }
-        }
-        self.counters.save_state(w);
-        w.opt_u64(self.submitted_at);
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect("l1")?;
-        self.array.load_state(r, &mut L1State::load_state)?;
-        self.pending = if r.bool()? {
-            Some(Pending {
-                op: MemOp::load_state(r)?,
-                line: LineAddr(r.u64()?),
-                is_upgrade: r.bool()?,
-                stalled_on_wb: r.bool()?,
-            })
-        } else {
-            None
-        };
-        self.wb = r.seq(|r| Ok(LineAddr(r.u64()?)))?;
-        self.events
-            .load_state(r, &mut |r| Ok(L1Event::Access(MemOp::load_state(r)?)))?;
-        self.done = if r.bool()? { Some(MemResult::load_state(r)?) } else { None };
-        self.counters.load_state(r)?;
-        self.submitted_at = r.opt_u64()?;
-        Ok(())
     }
 
     /// The MESI state this L1 currently holds for `line` (tests/invariants).

@@ -18,7 +18,6 @@
 
 use crate::events::EventQueue;
 use crate::msg::MpLockMsg;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{CoreId, Cycle};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -42,14 +41,15 @@ pub struct MpFabric {
     /// Operations enqueued by scripts, drained by the memory system.
     outbox: RefCell<VecDeque<(CoreId, MpLockMsg)>>,
     /// Per-core bitmask of granted lock ids.
-    granted: RefCell<Vec<Cell<u64>>>,
+    granted: Vec<Cell<u64>>,
 }
+glocks_sim_base::snap!(shared MpFabric { outbox, granted as fixed });
 
 impl MpFabric {
     pub fn new(n_cores: usize) -> Rc<Self> {
         Rc::new(MpFabric {
             outbox: RefCell::new(VecDeque::new()),
-            granted: RefCell::new((0..n_cores).map(|_| Cell::new(0)).collect()),
+            granted: (0..n_cores).map(|_| Cell::new(0)).collect(),
         })
     }
 
@@ -70,7 +70,7 @@ impl MpFabric {
 
     /// Script side: consume a grant if it has arrived.
     pub fn take_grant(&self, core: CoreId, lock: u16) -> bool {
-        let g = &self.granted.borrow()[core.index()];
+        let g = &self.granted[core.index()];
         let bit = 1u64 << lock;
         if g.get() & bit != 0 {
             g.set(g.get() & !bit);
@@ -87,41 +87,8 @@ impl MpFabric {
 
     /// Memory-system side: a `Grant` arrived at `core`'s tile.
     pub(crate) fn deliver_grant(&self, core: CoreId, lock: u16) {
-        let g = &self.granted.borrow()[core.index()];
+        let g = &self.granted[core.index()];
         g.set(g.get() | (1u64 << lock));
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        let outbox = self.outbox.borrow();
-        w.usize(outbox.len());
-        for (c, msg) in outbox.iter() {
-            w.u16(c.0);
-            msg.save_state(w);
-        }
-        let granted = self.granted.borrow();
-        w.usize(granted.len());
-        for g in granted.iter() {
-            w.u64(g.get());
-        }
-    }
-
-    pub fn load_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        let mut outbox = self.outbox.borrow_mut();
-        outbox.clear();
-        for _ in 0..n {
-            let c = CoreId(r.u16()?);
-            let msg = MpLockMsg::load_state(r)?;
-            outbox.push_back((c, msg));
-        }
-        let granted = self.granted.borrow();
-        if r.usize()? != granted.len() {
-            return Err(SnapError::Corrupt { what: "mp fabric core count" });
-        }
-        for g in granted.iter() {
-            g.set(r.u64()?);
-        }
-        Ok(())
     }
 }
 
@@ -130,19 +97,18 @@ struct LockState {
     held: bool,
     queue: VecDeque<CoreId>,
 }
-
-enum MgrEvent {
-    Process(MpLockMsg),
-}
+glocks_sim_base::snap!(LockState { held, queue });
 
 /// The kernel lock manager of one tile (serves the locks homed there).
 pub struct MpManager {
     locks: HashMap<u16, LockState>,
-    events: EventQueue<MgrEvent>,
+    /// Lock messages waiting out the manager's processing latency.
+    events: EventQueue<MpLockMsg>,
     /// Grants decided this tick, to be sent by the memory system.
     outgoing: Vec<(CoreId, MpLockMsg)>,
     pub grants: u64,
 }
+glocks_sim_base::snap!(MpManager { locks, events, outgoing, grants });
 
 impl Default for MpManager {
     fn default() -> Self {
@@ -164,12 +130,12 @@ impl MpManager {
     /// processing latency (software kernel manager for MP-Locks, ~2 cycles
     /// for the hardware Synchronization-operation Buffer of \[16\]).
     pub fn handle(&mut self, msg: MpLockMsg, now: Cycle, latency: u64) {
-        self.events.schedule(now + latency, MgrEvent::Process(msg));
+        self.events.schedule(now + latency, msg);
     }
 
     /// Advance; decided grants appear in the outgoing buffer.
     pub fn tick(&mut self, now: Cycle) {
-        while let Some((_, MgrEvent::Process(msg))) = self.events.pop_due(now) {
+        while let Some((_, msg)) = self.events.pop_due(now) {
             match msg {
                 MpLockMsg::Req { lock, from } => {
                     let st = self.locks.entry(lock).or_default();
@@ -204,55 +170,6 @@ impl MpManager {
     /// No queued work (end-of-run check).
     pub fn is_quiescent(&self) -> bool {
         self.events.is_empty() && self.outgoing.is_empty()
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        // The lock map is unordered; serialize sorted by lock id.
-        let mut ids: Vec<u16> = self.locks.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            let st = &self.locks[&id];
-            w.u16(id);
-            w.bool(st.held);
-            w.usize(st.queue.len());
-            for c in &st.queue {
-                w.u16(c.0);
-            }
-        }
-        self.events.save_state(w, &mut |w, MgrEvent::Process(msg)| msg.save_state(w));
-        w.usize(self.outgoing.len());
-        for (c, msg) in &self.outgoing {
-            w.u16(c.0);
-            msg.save_state(w);
-        }
-        w.u64(self.grants);
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        self.locks.clear();
-        for _ in 0..n {
-            let id = r.u16()?;
-            let held = r.bool()?;
-            let n_q = r.usize()?;
-            let mut queue = VecDeque::with_capacity(n_q);
-            for _ in 0..n_q {
-                queue.push_back(CoreId(r.u16()?));
-            }
-            self.locks.insert(id, LockState { held, queue });
-        }
-        self.events
-            .load_state(r, &mut |r| Ok(MgrEvent::Process(MpLockMsg::load_state(r)?)))?;
-        let n_out = r.usize()?;
-        self.outgoing.clear();
-        for _ in 0..n_out {
-            let c = CoreId(r.u16()?);
-            let msg = MpLockMsg::load_state(r)?;
-            self.outgoing.push((c, msg));
-        }
-        self.grants = r.u64()?;
-        Ok(())
     }
 }
 

@@ -1,7 +1,6 @@
 //! Coherence protocol messages and the core-facing memory operations.
 
 use glocks_noc::TrafficClass;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Addr, CoreId, Cycle, LineAddr};
 
 /// Atomic read-modify-write flavors — the hardware primitives the paper's
@@ -19,6 +18,12 @@ pub enum RmwKind {
     /// equals `expected`; always returns the old value.
     CompareAndSwap { expected: u64, new: u64 },
 }
+glocks_sim_base::snap!(enum RmwKind {
+    0 => TestAndSet,
+    1 => Swap(value),
+    2 => FetchAdd(delta),
+    3 => CompareAndSwap { expected, new },
+});
 
 impl RmwKind {
     /// Apply the RMW to a value, returning `(new_value, returned_old)`.
@@ -38,37 +43,6 @@ impl RmwKind {
     }
 }
 
-impl RmwKind {
-    pub fn save_state(self, w: &mut SnapWriter) {
-        match self {
-            RmwKind::TestAndSet => w.u8(0),
-            RmwKind::Swap(v) => {
-                w.u8(1);
-                w.u64(v);
-            }
-            RmwKind::FetchAdd(d) => {
-                w.u8(2);
-                w.u64(d);
-            }
-            RmwKind::CompareAndSwap { expected, new } => {
-                w.u8(3);
-                w.u64(expected);
-                w.u64(new);
-            }
-        }
-    }
-
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => RmwKind::TestAndSet,
-            1 => RmwKind::Swap(r.u64()?),
-            2 => RmwKind::FetchAdd(r.u64()?),
-            3 => RmwKind::CompareAndSwap { expected: r.u64()?, new: r.u64()? },
-            tag => return Err(SnapError::BadTag { what: "rmw kind", tag: u64::from(tag) }),
-        })
-    }
-}
-
 /// A memory operation issued by a core. One word (8 bytes) at a time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MemOp {
@@ -76,6 +50,7 @@ pub enum MemOp {
     Store(Addr, u64),
     Rmw(Addr, RmwKind),
 }
+glocks_sim_base::snap!(enum MemOp { 0 => Load(a), 1 => Store(a, v), 2 => Rmw(a, kind) });
 
 impl MemOp {
     pub fn addr(&self) -> Addr {
@@ -87,34 +62,6 @@ impl MemOp {
     /// Does this operation require exclusive (M) permission?
     pub fn needs_exclusive(&self) -> bool {
         !matches!(self, MemOp::Load(_))
-    }
-
-    pub fn save_state(self, w: &mut SnapWriter) {
-        match self {
-            MemOp::Load(a) => {
-                w.u8(0);
-                w.u64(a.0);
-            }
-            MemOp::Store(a, v) => {
-                w.u8(1);
-                w.u64(a.0);
-                w.u64(v);
-            }
-            MemOp::Rmw(a, kind) => {
-                w.u8(2);
-                w.u64(a.0);
-                kind.save_state(w);
-            }
-        }
-    }
-
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => MemOp::Load(Addr(r.u64()?)),
-            1 => MemOp::Store(Addr(r.u64()?), r.u64()?),
-            2 => MemOp::Rmw(Addr(r.u64()?), RmwKind::load_state(r)?),
-            tag => return Err(SnapError::BadTag { what: "mem op", tag: u64::from(tag) }),
-        })
     }
 }
 
@@ -129,24 +76,7 @@ pub struct MemResult {
     /// sufficient permissions).
     pub l1_hit: bool,
 }
-
-impl MemResult {
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        self.op.save_state(w);
-        w.u64(self.value);
-        w.u64(self.finished_at);
-        w.bool(self.l1_hit);
-    }
-
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(MemResult {
-            op: MemOp::load_state(r)?,
-            value: r.u64()?,
-            finished_at: r.u64()?,
-            l1_hit: r.bool()?,
-        })
-    }
-}
+glocks_sim_base::snap!(MemResult { op, value, finished_at, l1_hit });
 
 /// Messages of the MP-Locks message-passing lock protocol (Kuo et al.,
 /// "MP-LOCKs", HPCA 1999 — the paper's related work \[14\]): lock
@@ -162,6 +92,11 @@ pub enum MpLockMsg {
     /// Give the lock back to the manager.
     Rel { lock: u16, from: CoreId },
 }
+glocks_sim_base::snap!(enum MpLockMsg {
+    0 => Req { lock, from },
+    1 => Grant { lock },
+    2 => Rel { lock, from },
+});
 
 impl MpLockMsg {
     /// Figure-9 class of this message on the shared network.
@@ -174,36 +109,6 @@ impl MpLockMsg {
     }
 }
 
-impl MpLockMsg {
-    pub fn save_state(self, w: &mut SnapWriter) {
-        match self {
-            MpLockMsg::Req { lock, from } => {
-                w.u8(0);
-                w.u16(lock);
-                w.u16(from.0);
-            }
-            MpLockMsg::Grant { lock } => {
-                w.u8(1);
-                w.u16(lock);
-            }
-            MpLockMsg::Rel { lock, from } => {
-                w.u8(2);
-                w.u16(lock);
-                w.u16(from.0);
-            }
-        }
-    }
-
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => MpLockMsg::Req { lock: r.u16()?, from: CoreId(r.u16()?) },
-            1 => MpLockMsg::Grant { lock: r.u16()? },
-            2 => MpLockMsg::Rel { lock: r.u16()?, from: CoreId(r.u16()?) },
-            tag => return Err(SnapError::BadTag { what: "mp-lock message", tag: u64::from(tag) }),
-        })
-    }
-}
-
 /// Everything the main data network carries: coherence protocol messages
 /// plus (when MP-Locks are in use) lock-manager messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -211,29 +116,7 @@ pub enum SysMsg {
     Coh(CoherenceMsg),
     Lock(MpLockMsg),
 }
-
-impl SysMsg {
-    pub fn save_state(self, w: &mut SnapWriter) {
-        match self {
-            SysMsg::Coh(m) => {
-                w.u8(0);
-                m.save_state(w);
-            }
-            SysMsg::Lock(m) => {
-                w.u8(1);
-                m.save_state(w);
-            }
-        }
-    }
-
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(match r.u8()? {
-            0 => SysMsg::Coh(CoherenceMsg::load_state(r)?),
-            1 => SysMsg::Lock(MpLockMsg::load_state(r)?),
-            tag => return Err(SnapError::BadTag { what: "system message", tag: u64::from(tag) }),
-        })
-    }
-}
+glocks_sim_base::snap!(enum SysMsg { 0 => Coh(m), 1 => Lock(m) });
 
 /// Messages of the directory MESI protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -273,6 +156,23 @@ pub enum CoherenceMsg {
     /// Eviction handshake completion.
     PutAck { line: LineAddr },
 }
+glocks_sim_base::snap!(enum CoherenceMsg {
+    0 => GetS { line, from },
+    1 => GetM { line, from },
+    2 => UpgradeM { line, from },
+    3 => PutM { line, from },
+    4 => PutE { line, from },
+    5 => WbData { line, from },
+    6 => InvAck { line, from },
+    7 => DataS { line },
+    8 => DataE { line },
+    9 => DataM { line },
+    10 => GrantM { line },
+    11 => Inv { line },
+    12 => FwdGetS { line },
+    13 => FwdGetM { line },
+    14 => PutAck { line },
+});
 
 impl CoherenceMsg {
     pub fn line(&self) -> LineAddr {
@@ -320,54 +220,6 @@ impl CoherenceMsg {
                 | CoherenceMsg::DataE { .. }
                 | CoherenceMsg::DataM { .. }
         )
-    }
-
-    pub fn save_state(self, w: &mut SnapWriter) {
-        let (tag, line, from) = match self {
-            CoherenceMsg::GetS { line, from } => (0u8, line, Some(from)),
-            CoherenceMsg::GetM { line, from } => (1, line, Some(from)),
-            CoherenceMsg::UpgradeM { line, from } => (2, line, Some(from)),
-            CoherenceMsg::PutM { line, from } => (3, line, Some(from)),
-            CoherenceMsg::PutE { line, from } => (4, line, Some(from)),
-            CoherenceMsg::WbData { line, from } => (5, line, Some(from)),
-            CoherenceMsg::InvAck { line, from } => (6, line, Some(from)),
-            CoherenceMsg::DataS { line } => (7, line, None),
-            CoherenceMsg::DataE { line } => (8, line, None),
-            CoherenceMsg::DataM { line } => (9, line, None),
-            CoherenceMsg::GrantM { line } => (10, line, None),
-            CoherenceMsg::Inv { line } => (11, line, None),
-            CoherenceMsg::FwdGetS { line } => (12, line, None),
-            CoherenceMsg::FwdGetM { line } => (13, line, None),
-            CoherenceMsg::PutAck { line } => (14, line, None),
-        };
-        w.u8(tag);
-        w.u64(line.0);
-        if let Some(from) = from {
-            w.u16(from.0);
-        }
-    }
-
-    pub fn load_state(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let tag = r.u8()?;
-        let line = LineAddr(r.u64()?);
-        Ok(match tag {
-            0 => CoherenceMsg::GetS { line, from: CoreId(r.u16()?) },
-            1 => CoherenceMsg::GetM { line, from: CoreId(r.u16()?) },
-            2 => CoherenceMsg::UpgradeM { line, from: CoreId(r.u16()?) },
-            3 => CoherenceMsg::PutM { line, from: CoreId(r.u16()?) },
-            4 => CoherenceMsg::PutE { line, from: CoreId(r.u16()?) },
-            5 => CoherenceMsg::WbData { line, from: CoreId(r.u16()?) },
-            6 => CoherenceMsg::InvAck { line, from: CoreId(r.u16()?) },
-            7 => CoherenceMsg::DataS { line },
-            8 => CoherenceMsg::DataE { line },
-            9 => CoherenceMsg::DataM { line },
-            10 => CoherenceMsg::GrantM { line },
-            11 => CoherenceMsg::Inv { line },
-            12 => CoherenceMsg::FwdGetS { line },
-            13 => CoherenceMsg::FwdGetM { line },
-            14 => CoherenceMsg::PutAck { line },
-            tag => return Err(SnapError::BadTag { what: "coherence message", tag: u64::from(tag) }),
-        })
     }
 
     /// Figure 9 traffic category of this message.

@@ -6,7 +6,6 @@
 //! value a real coherent machine would return, while all timing comes from
 //! the protocol model.
 
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::Addr;
 use std::collections::HashMap;
 
@@ -15,6 +14,7 @@ use std::collections::HashMap;
 pub struct WordStore {
     words: HashMap<u64, u64>,
 }
+glocks_sim_base::snap!(WordStore { words });
 
 impl WordStore {
     pub fn new() -> Self {
@@ -44,28 +44,6 @@ impl WordStore {
     /// Iterate over all non-zero words as `(word_address, value)`.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
         self.words.iter().map(|(&a, &v)| (Addr(a), v))
-    }
-
-    /// Serialize in sorted word-address order (the map is unordered).
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        let mut words: Vec<(u64, u64)> = self.words.iter().map(|(&a, &v)| (a, v)).collect();
-        words.sort_unstable();
-        w.usize(words.len());
-        for (a, v) in words {
-            w.u64(a);
-            w.u64(v);
-        }
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        self.words.clear();
-        for _ in 0..n {
-            let a = r.u64()?;
-            let v = r.u64()?;
-            self.words.insert(a, v);
-        }
-        Ok(())
     }
 }
 

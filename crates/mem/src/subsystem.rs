@@ -10,7 +10,6 @@ use crate::msg::{MemOp, MemResult, MpLockMsg, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet, TrafficStats};
 use glocks_sim_base::fault::{FaultPlan, FaultSite};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::stats::CounterSet;
 use glocks_sim_base::{CmpConfig, CoreId, Cycle, LineAddr, TileId};
 
@@ -50,6 +49,10 @@ pub struct MemorySystem {
     ctrl_bytes: u32,
     n_tiles: usize,
 }
+glocks_sim_base::snap!(MemorySystem mark "mem" {
+    l1s as fixed, dirs as fixed, store, net, mp_managers as fixed, mp_fabric;
+    skip drain_buf, mp_out_buf, mp_latency, ctrl_bytes, n_tiles
+});
 
 impl MemorySystem {
     pub fn new(cfg: &CmpConfig) -> Self {
@@ -173,54 +176,6 @@ impl MemorySystem {
                 self.inject_mp(TileId(t as u16), TileId(core.0), msg, now);
             }
         }
-    }
-
-    /// Serialize the full memory hierarchy's dynamic state. `drain_buf` and
-    /// `mp_out_buf` are scratch buffers that are empty between ticks (and a
-    /// checkpoint always lands on a cycle boundary), so they are not saved.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.mark("mem");
-        w.usize(self.l1s.len());
-        for l1 in &self.l1s {
-            l1.save_state(w);
-        }
-        w.usize(self.dirs.len());
-        for dir in &self.dirs {
-            dir.save_state(w);
-        }
-        self.store.save_state(w);
-        self.net.save_state(w, &mut |w, msg| msg.save_state(w));
-        w.usize(self.mp_managers.len());
-        for m in &self.mp_managers {
-            m.save_state(w);
-        }
-        self.mp_fabric.save_state(w);
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect("mem")?;
-        if r.usize()? != self.l1s.len() {
-            return Err(SnapError::Corrupt { what: "l1 count" });
-        }
-        for l1 in &mut self.l1s {
-            l1.load_state(r)?;
-        }
-        if r.usize()? != self.dirs.len() {
-            return Err(SnapError::Corrupt { what: "directory count" });
-        }
-        for dir in &mut self.dirs {
-            dir.load_state(r)?;
-        }
-        self.store.load_state(r)?;
-        self.net.load_state(r, &mut SysMsg::load_state)?;
-        if r.usize()? != self.mp_managers.len() {
-            return Err(SnapError::Corrupt { what: "mp manager count" });
-        }
-        for m in &mut self.mp_managers {
-            m.load_state(r)?;
-        }
-        self.mp_fabric.load_state(r)?;
-        Ok(())
     }
 
     /// True when no packet, transaction or pending L1 request exists (used

@@ -5,7 +5,6 @@ use crate::packet::{Packet, TrafficClass};
 use crate::router::{Queued, Router, N_PORTS, P_EAST, P_LOCAL, P_NORTH, P_SOUTH, P_WEST};
 use crate::traffic::TrafficStats;
 use glocks_sim_base::fault::{FaultDecision, FaultInjector};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{config::NocConfig, Cycle, Mesh2D, TileId};
 use glocks_stats as gstats;
 use std::collections::VecDeque;
@@ -35,6 +34,11 @@ pub struct MeshNoc<T> {
     /// (`noc.router.{x}_{y}.queue_depth`), sampled every stats period.
     queue_series: Vec<gstats::SeriesId>,
 }
+glocks_sim_base::snap!(MeshNoc<T> mark "noc" {
+    routers as fixed, delivered as each, stats, in_flight, faults as present, dropped,
+    dead_at as fixed, scheduled_kills;
+    skip mesh, cfg, lat_hists, queue_series
+});
 
 fn class_name(c: TrafficClass) -> &'static str {
     match c {
@@ -314,82 +318,6 @@ impl<T> MeshNoc<T> {
             gstats::set(gstats::counter(&format!("noc.{n}.hops")), self.stats.hops(c));
         }
         gstats::set(gstats::counter("noc.packets_dropped"), self.dropped);
-    }
-
-    /// Serialize the fabric's dynamic state: router queues, delivery
-    /// buffers, traffic accounting, the fault injector's stream position
-    /// and the permanent-fault schedule. Structure (mesh shape, config,
-    /// stats registrations) is rebuilt by the constructor.
-    pub fn save_state(&self, w: &mut SnapWriter, save_payload: &mut dyn FnMut(&mut SnapWriter, &T)) {
-        w.mark("noc");
-        w.usize(self.routers.len());
-        for router in &self.routers {
-            router.save_state(w, save_payload);
-        }
-        for q in &self.delivered {
-            w.usize(q.len());
-            for (at, pkt) in q {
-                w.u64(*at);
-                pkt.save_state(w, save_payload);
-            }
-        }
-        self.stats.save_state(w);
-        w.usize(self.in_flight);
-        w.bool(self.faults.is_some());
-        if let Some(f) = &self.faults {
-            f.save_state(w);
-        }
-        w.u64(self.dropped);
-        w.seq(&self.dead_at, |w, &d| w.opt_u64(d));
-        w.seq(&self.scheduled_kills, |w, &(at, r)| {
-            w.u64(at);
-            w.usize(r);
-        });
-    }
-
-    pub fn load_state(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        load_payload: &mut dyn FnMut(&mut SnapReader<'_>) -> Result<T, SnapError>,
-    ) -> Result<(), SnapError> {
-        r.expect("noc")?;
-        if r.usize()? != self.routers.len() {
-            return Err(SnapError::Corrupt { what: "noc router count" });
-        }
-        for router in &mut self.routers {
-            router.load_state(r, load_payload)?;
-        }
-        for q in &mut self.delivered {
-            let n = r.usize()?;
-            q.clear();
-            for _ in 0..n {
-                let at = r.u64()?;
-                let pkt = Packet::load_state(r, load_payload)?;
-                q.push_back((at, pkt));
-            }
-        }
-        self.stats.load_state(r)?;
-        self.in_flight = r.usize()?;
-        if r.bool()? {
-            match self.faults.as_mut() {
-                Some(f) => f.load_state(r)?,
-                None => return Err(SnapError::Corrupt { what: "noc fault injector presence" }),
-            }
-        } else if self.faults.is_some() {
-            return Err(SnapError::Corrupt { what: "noc fault injector presence" });
-        }
-        self.dropped = r.u64()?;
-        let dead_at = r.seq(|r| r.opt_u64())?;
-        if dead_at.len() != self.dead_at.len() {
-            return Err(SnapError::Corrupt { what: "noc dead-router map" });
-        }
-        self.dead_at = dead_at;
-        self.scheduled_kills = r.seq(|r| {
-            let at = r.u64()?;
-            let tile = r.usize()?;
-            Ok((at, tile))
-        })?;
-        Ok(())
     }
 
     /// True when no packet is anywhere in the fabric or delivery buffers.

@@ -9,7 +9,7 @@
 //! latency comes from.
 
 use crate::packet::Packet;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
+use glocks_sim_base::snap::{Decode, Snap, SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::Cycle;
 use std::collections::VecDeque;
 
@@ -28,6 +28,7 @@ pub(crate) struct Queued<T> {
     pub pkt: Packet<T>,
     pub ready_at: Cycle,
 }
+glocks_sim_base::snap!(Queued<T> { pkt, ready_at });
 
 /// One mesh router.
 pub(crate) struct Router<T> {
@@ -36,6 +37,27 @@ pub(crate) struct Router<T> {
     pub out_free_at: [Cycle; N_PORTS],
     /// Round-robin pointer per output port (next input port to consider).
     rr: [usize; N_PORTS],
+}
+
+/// Hand-written: a loaded round-robin pointer must name a port.
+impl<T: Decode> Snap for Router<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        let Router { in_q, out_free_at, rr } = self;
+        in_q.save(w);
+        out_free_at.save(w);
+        rr.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Router { in_q, out_free_at, rr } = self;
+        in_q.load(r)?;
+        out_free_at.load(r)?;
+        rr.load(r)?;
+        if rr.iter().any(|&p| p >= N_PORTS) {
+            return Err(SnapError::Corrupt { what: "router round-robin pointer" });
+        }
+        Ok(())
+    }
 }
 
 impl<T> Router<T> {
@@ -49,48 +71,6 @@ impl<T> Router<T> {
 
     pub fn occupancy(&self) -> usize {
         self.in_q.iter().map(VecDeque::len).sum()
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter, save_payload: &mut dyn FnMut(&mut SnapWriter, &T)) {
-        for q in &self.in_q {
-            w.usize(q.len());
-            for item in q {
-                item.pkt.save_state(w, save_payload);
-                w.u64(item.ready_at);
-            }
-        }
-        for &c in &self.out_free_at {
-            w.u64(c);
-        }
-        for &p in &self.rr {
-            w.usize(p);
-        }
-    }
-
-    pub fn load_state(
-        &mut self,
-        r: &mut SnapReader<'_>,
-        load_payload: &mut dyn FnMut(&mut SnapReader<'_>) -> Result<T, SnapError>,
-    ) -> Result<(), SnapError> {
-        for q in &mut self.in_q {
-            let n = r.usize()?;
-            q.clear();
-            for _ in 0..n {
-                let pkt = Packet::load_state(r, load_payload)?;
-                let ready_at = r.u64()?;
-                q.push_back(Queued { pkt, ready_at });
-            }
-        }
-        for c in &mut self.out_free_at {
-            *c = r.u64()?;
-        }
-        for p in &mut self.rr {
-            *p = r.usize()?;
-            if *p >= N_PORTS {
-                return Err(SnapError::Corrupt { what: "router round-robin pointer" });
-            }
-        }
-        Ok(())
     }
 
     /// For output port `out`, pick the winning input port this cycle under

@@ -1,7 +1,6 @@
 //! Per-class traffic accounting (Figure 9's decomposition).
 
 use crate::packet::TrafficClass;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::stats::Summary;
 
 /// Bytes and messages moved through the network, split by
@@ -20,6 +19,9 @@ pub struct TrafficStats {
     /// End-to-end packet latency (inject → deliver) in cycles.
     pub latency: Summary,
 }
+glocks_sim_base::snap!(TrafficStats {
+    bytes as fixed, messages as fixed, hops as fixed, latency
+});
 
 impl TrafficStats {
     pub fn on_inject(&mut self, class: TrafficClass) {
@@ -58,24 +60,6 @@ impl TrafficStats {
 
     pub fn total_hops(&self) -> u64 {
         self.hops.iter().sum()
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64_slice(&self.bytes);
-        w.u64_slice(&self.messages);
-        w.u64_slice(&self.hops);
-        self.latency.save_state(w);
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for arr in [&mut self.bytes, &mut self.messages, &mut self.hops] {
-            let v = r.u64_vec()?;
-            if v.len() != 3 {
-                return Err(SnapError::Corrupt { what: "traffic class array" });
-            }
-            arr.copy_from_slice(&v);
-        }
-        self.latency.load_state(r)
     }
 
     pub fn merge(&mut self, other: &TrafficStats) {

@@ -344,6 +344,7 @@ pub struct FaultStats {
     pub delayed: u64,
     pub duplicated: u64,
 }
+crate::snap!(FaultStats { decided, dropped, delayed, duplicated });
 
 impl FaultStats {
     pub fn injected(&self) -> u64 {
@@ -364,6 +365,12 @@ pub struct FaultInjector {
     next_event: u64,
     stats: FaultStats,
 }
+// Verdicts are pure functions of `(seed, site, stream, index)`, so the
+// monotone event counter plus the running totals are the whole state.
+crate::snap!(FaultInjector mark "fault-injector" {
+    next_event, stats;
+    skip seed, site, stream, rates
+});
 
 impl FaultInjector {
     pub fn new(seed: u64, site: FaultSite, stream: u64, rates: FaultRates) -> Self {
@@ -393,33 +400,6 @@ impl FaultInjector {
 
     pub fn stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// Checkpoint the injector's dynamic state. Verdicts are pure
-    /// functions of `(seed, site, stream, index)`, so the monotone event
-    /// counter plus the running totals are the whole state.
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.mark("fault-injector");
-        w.u64(self.next_event);
-        w.u64(self.stats.decided);
-        w.u64(self.stats.dropped);
-        w.u64(self.stats.delayed);
-        w.u64(self.stats.duplicated);
-    }
-
-    /// Restore state saved by [`Self::save_state`] into an injector
-    /// reconstructed from the same plan.
-    pub fn load_state(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        r.expect("fault-injector")?;
-        self.next_event = r.u64()?;
-        self.stats.decided = r.u64()?;
-        self.stats.dropped = r.u64()?;
-        self.stats.delayed = r.u64()?;
-        self.stats.duplicated = r.u64()?;
-        Ok(())
     }
 
     /// Rule on the next event at this site.

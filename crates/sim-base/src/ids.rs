@@ -14,6 +14,7 @@ macro_rules! id_type {
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub $inner);
+        crate::snap!($name(raw));
 
         impl $name {
             /// The raw index as a `usize`, for vector indexing.
@@ -70,10 +71,12 @@ id_type!(
 /// A byte address in the simulated flat physical address space.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Addr(pub u64);
+crate::snap!(Addr(raw));
 
 /// A cache-line address: `Addr >> log2(line_size)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(pub u64);
+crate::snap!(LineAddr(raw));
 
 impl Addr {
     /// The cache line containing this address.

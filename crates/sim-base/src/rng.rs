@@ -11,6 +11,7 @@
 pub struct SplitMix64 {
     state: u64,
 }
+crate::snap!(SplitMix64 { state });
 
 impl SplitMix64 {
     /// Create a generator from a seed. Distinct seeds give independent
@@ -62,20 +63,6 @@ impl SplitMix64 {
         // triples land on unrelated states.
         let s = h.next_u64();
         SplitMix64::new(s)
-    }
-
-    /// The raw generator state, for checkpointing.
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.state);
-    }
-
-    /// Restore a previously saved generator state.
-    pub fn load_state(
-        &mut self,
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<(), crate::snap::SnapError> {
-        self.state = r.u64()?;
-        Ok(())
     }
 
     /// Fisher–Yates shuffle of a slice.

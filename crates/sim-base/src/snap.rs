@@ -16,8 +16,83 @@
 //! * every component section starts with a [`SnapWriter::mark`] — a 32-bit
 //!   FNV hash of a label — so a misaligned reader fails loudly at the next
 //!   section boundary instead of silently decoding garbage.
+//!
+//! # One declaration per type
+//!
+//! A snapshotted type implements [`Snap`]: `save` writes its dynamic state
+//! and `load` reads it back *in place*, into the instance the rebuilt
+//! machine constructed. Both halves come from one [`snap!`](crate::snap!)
+//! declaration that lists the fields in encoding order, so they cannot
+//! drift apart:
+//!
+//! ```
+//! use glocks_sim_base::snap::{Snap, SnapReader, SnapWriter};
+//! use glocks_sim_base::snap;
+//!
+//! struct Port {
+//!     width: u32, // structure, rebuilt by the constructor
+//!     sent: u64,
+//!     last: Option<u64>,
+//! }
+//! snap!(Port mark "port" { sent, last; skip width });
+//!
+//! let mut w = SnapWriter::new();
+//! Port { width: 8, sent: 3, last: Some(9) }.save(&mut w);
+//! let bytes = w.into_bytes();
+//! let mut rebuilt = Port { width: 8, sent: 0, last: None };
+//! rebuilt.load(&mut SnapReader::new(&bytes)).unwrap();
+//! assert_eq!((rebuilt.sent, rebuilt.last), (3, Some(9)));
+//! ```
+//!
+//! Declarations are exhaustive: `save` and `load` destructure the struct
+//! without `..`, and enum variants are matched and rebuilt with struct
+//! literals, so a field or variant added without a codec entry — or an
+//! explicit `skip` entry for structure — fails to compile instead of
+//! silently dropping out of checkpoints:
+//!
+//! ```compile_fail
+//! use glocks_sim_base::snap;
+//! struct Port { width: u32, sent: u64, last: Option<u64> }
+//! snap!(Port { sent; skip width }); // `last` is neither saved nor skipped
+//! ```
+//!
+//! ```compile_fail
+//! use glocks_sim_base::snap;
+//! enum Mode { Idle, Busy(u64), Dead }
+//! snap!(enum Mode { 0 => Idle, 1 => Busy(cycles) }); // `Dead` has no tag
+//! ```
+//!
+//! The declaration forms:
+//!
+//! * `snap!(Name { fields })` — a *value*: every field is saved in its own
+//!   type's layout, and the type also implements [`Decode`] (built fresh
+//!   with a struct literal), so it can sit inside a `Vec`, an `Option` or
+//!   an enum variant.
+//! * `snap!(Name { fields; skip structure })` — a *component*: the `skip`
+//!   fields are structure the constructor rebuilds, and it loads in place
+//!   only. A declaration with a codec (`as`, below) is a component too.
+//! * `snap!(shared Name { .. })` — a component whose state sits in
+//!   `Cell`/`RefCell` fields behind an `Rc`: it also implements
+//!   [`SnapShared`], which loads through `&self`.
+//! * `snap!(enum Name { tag => Variant, tag => Variant(a, b), tag =>
+//!   Variant { x, y } })` — a `u8` tag, then the variant's fields.
+//! * `snap!(Name(a, b))` — a tuple struct value.
+//!
+//! A section may open with a mark: `snap!(Name mark "label" { .. })`. A
+//! field written in a layout other than its type's own names a codec
+//! module after `as`: [`fixed`] (a sequence whose length the rebuilt
+//! machine fixes), [`each`] (a sequence in step with one already written),
+//! [`present`] (an optional part of the machine) or [`wide`] (a thread id
+//! widened to 64 bits). Hand-written `impl Snap` blocks, both halves side
+//! by side, are kept for irregular encodings only: a sorted or compact
+//! layout, or a load that validates what it reads against the rebuilt
+//! machine.
 
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
+use std::rc::Rc;
 
 /// First bytes of every snapshot ("GLSN").
 pub const SNAP_MAGIC: u32 = 0x474C_534E;
@@ -150,39 +225,9 @@ impl SnapWriter {
         self.u64(v.to_bits());
     }
 
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.bool(false),
-            Some(x) => {
-                self.bool(true);
-                self.u64(x);
-            }
-        }
-    }
-
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    pub fn bytes(&mut self, b: &[u8]) {
-        self.usize(b.len());
-        self.buf.extend_from_slice(b);
-    }
-
-    pub fn u64_slice(&mut self, xs: &[u64]) {
-        self.usize(xs.len());
-        for &x in xs {
-            self.u64(x);
-        }
-    }
-
-    /// Length-prefixed sequence via a per-item closure.
-    pub fn seq<T>(&mut self, xs: &[T], mut f: impl FnMut(&mut Self, &T)) {
-        self.usize(xs.len());
-        for x in xs {
-            f(self, x);
-        }
     }
 }
 
@@ -255,47 +300,519 @@ impl<'a> SnapReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
-        Ok(if self.bool()? { Some(self.u64()?) } else { None })
-    }
-
     pub fn str(&mut self) -> Result<String, SnapError> {
         let n = self.usize()?;
         let b = self.take(n)?;
         String::from_utf8(b.to_vec()).map_err(|_| SnapError::Corrupt { what: "utf-8 string" })
     }
+}
 
-    pub fn bytes(&mut self) -> Result<Vec<u8>, SnapError> {
-        let n = self.usize()?;
-        Ok(self.take(n)?.to_vec())
+/// A type's dynamic state: `save` writes it, `load` reads it back in place
+/// into an instance of the same structure. See the module docs for the
+/// [`snap!`](crate::snap!) declaration that generates both halves.
+pub trait Snap {
+    fn save(&self, w: &mut SnapWriter);
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+/// A [`Snap`] value that needs no rebuilt instance to load into: it can be
+/// decoded fresh, as the elements of a `Vec`, `VecDeque`, map or `Option`
+/// and the fields of an enum variant are.
+pub trait Decode: Snap + Sized {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
+}
+
+/// State shared through `Rc` between a component and the scripts it
+/// manufactured: its `Cell`/`RefCell` fields load through `&self`.
+pub trait SnapShared: Snap {
+    fn load_shared(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+/// Scalars whose [`SnapWriter`]/[`SnapReader`] methods share their name.
+macro_rules! snap_scalar {
+    ($($t:ident)*) => {$(
+        impl Snap for $t {
+            fn save(&self, w: &mut SnapWriter) {
+                w.$t(*self);
+            }
+            fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                *self = r.$t()?;
+                Ok(())
+            }
+        }
+        impl Decode for $t {
+            fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                r.$t()
+            }
+        }
+    )*};
+}
+
+snap_scalar!(u8 u16 u32 u64 i64 usize bool f64);
+
+/// Low word first.
+impl Snap for u128 {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u64(*self as u64);
+        w.u64((*self >> 64) as u64);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = Self::decode(r)?;
+        Ok(())
+    }
+}
+
+impl Decode for u128 {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let lo = u128::from(r.u64()?);
+        Ok(lo | u128::from(r.u64()?) << 64)
+    }
+}
+
+impl Snap for () {
+    fn save(&self, _w: &mut SnapWriter) {}
+    fn load(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        Ok(())
+    }
+}
+
+impl Decode for () {
+    fn decode(_r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(())
+    }
+}
+
+impl Snap for String {
+    fn save(&self, w: &mut SnapWriter) {
+        w.str(self);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = r.str()?;
+        Ok(())
+    }
+}
+
+impl Decode for String {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        r.str()
+    }
+}
+
+/// Implements [`Snap`] by replacing `self` with a decoded value.
+macro_rules! load_by_decode {
+    () => {
+        fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+            *self = Decode::decode(r)?;
+            Ok(())
+        }
+    };
+}
+
+/// A presence flag, then the value.
+impl<T: Decode> Snap for Option<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.bool(self.is_some());
+        if let Some(v) = self {
+            v.save(w);
+        }
+    }
+    load_by_decode!();
+}
+
+impl<T: Decode> Decode for Option<T> {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        Ok(if r.bool()? { Some(T::decode(r)?) } else { None })
+    }
+}
+
+/// Length-prefixed items of a sequence that grows and shrinks at run time.
+fn save_items<'a, T: Snap + 'a>(w: &mut SnapWriter, len: usize, items: impl Iterator<Item = &'a T>) {
+    w.usize(len);
+    for x in items {
+        x.save(w);
+    }
+}
+
+fn decode_items<T: Decode, C: FromIterator<T>>(r: &mut SnapReader<'_>) -> Result<C, SnapError> {
+    let n = r.usize()?;
+    (0..n).map(|_| T::decode(r)).collect()
+}
+
+impl<T: Decode> Snap for Vec<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        save_items(w, self.len(), self.iter());
+    }
+    load_by_decode!();
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        decode_items(r)
+    }
+}
+
+impl<T: Decode> Snap for VecDeque<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        save_items(w, self.len(), self.iter());
+    }
+    load_by_decode!();
+}
+
+impl<T: Decode> Decode for VecDeque<T> {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        decode_items(r)
+    }
+}
+
+/// Entries in key order.
+impl<K: Decode + Ord, V: Decode> Snap for BTreeMap<K, V> {
+    fn save(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for (k, v) in self {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    load_by_decode!();
+}
+
+impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        decode_items(r)
+    }
+}
+
+/// Entries sorted by key, so the bytes do not depend on hash order.
+impl<K: Decode + Ord + Hash, V: Decode> Snap for HashMap<K, V> {
+    fn save(&self, w: &mut SnapWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.usize(entries.len());
+        for (k, v) in entries {
+            k.save(w);
+            v.save(w);
+        }
+    }
+    load_by_decode!();
+}
+
+impl<K: Decode + Ord + Hash, V: Decode> Decode for HashMap<K, V> {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        decode_items(r)
+    }
+}
+
+impl<A: Decode, B: Decode> Snap for (A, B) {
+    fn save(&self, w: &mut SnapWriter) {
+        self.0.save(w);
+        self.1.save(w);
+    }
+    load_by_decode!();
+}
+
+impl<A: Decode, B: Decode> Decode for (A, B) {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let a = A::decode(r)?;
+        Ok((a, B::decode(r)?))
+    }
+}
+
+/// No length: the array type fixes it. Loads in place.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn save(&self, w: &mut SnapWriter) {
+        for x in self {
+            x.save(w);
+        }
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.iter_mut().try_for_each(|x| x.load(r))
+    }
+}
+
+impl<T: Decode + Copy> Snap for Cell<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        self.get().save(w);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.get_mut().load(r)
+    }
+}
+
+impl<T: Decode + Copy> SnapShared for Cell<T> {
+    fn load_shared(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.set(T::decode(r)?);
+        Ok(())
+    }
+}
+
+impl<T: Snap> Snap for RefCell<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        self.borrow().save(w);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.get_mut().load(r)
+    }
+}
+
+impl<T: Snap> SnapShared for RefCell<T> {
+    fn load_shared(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.borrow_mut().load(r)
+    }
+}
+
+impl<T: SnapShared> Snap for Rc<T> {
+    fn save(&self, w: &mut SnapWriter) {
+        (**self).save(w);
+    }
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        (**self).load_shared(r)
+    }
+}
+
+impl<T: SnapShared> SnapShared for Rc<T> {
+    fn load_shared(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        (**self).load_shared(r)
+    }
+}
+
+/// Codec for a sequence whose length the rebuilt machine already fixes
+/// (one entry per core, per router, per bucket): the length is written,
+/// a snapshot of another length is refused, and the items load in place.
+pub mod fixed {
+    use super::{Snap, SnapError, SnapReader, SnapShared, SnapWriter};
+
+    pub fn save<T: Snap>(v: &[T], w: &mut SnapWriter) {
+        super::save_items(w, v.len(), v.iter());
     }
 
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, SnapError> {
-        let n = self.usize()?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    /// Length-prefixed sequence via a per-item closure.
-    pub fn seq<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Self) -> Result<T, SnapError>,
-    ) -> Result<Vec<T>, SnapError> {
-        let n = self.usize()?;
-        (0..n).map(|_| f(self)).collect()
-    }
-
-    /// Fixed-length sequence (the count comes from the reconstructed
-    /// structure, not the buffer): call `f` exactly `n` times.
-    pub fn each(
-        &mut self,
-        n: usize,
-        mut f: impl FnMut(&mut Self, usize) -> Result<(), SnapError>,
-    ) -> Result<(), SnapError> {
-        for i in 0..n {
-            f(self, i)?;
+    fn check(n: usize, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        if r.usize()? != n {
+            return Err(SnapError::Corrupt { what: "length differs from the rebuilt machine" });
         }
         Ok(())
     }
+
+    pub fn load<T: Snap>(v: &mut [T], r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        check(v.len(), r)?;
+        v.iter_mut().try_for_each(|x| x.load(r))
+    }
+
+    pub fn load_shared<T: SnapShared>(v: &[T], r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        check(v.len(), r)?;
+        v.iter().try_for_each(|x| x.load_shared(r))
+    }
+}
+
+/// Codec for a sequence that runs in step with another one already written
+/// (one queue per tile, a second register per core): no length, items
+/// loaded in place.
+pub mod each {
+    use super::{Snap, SnapError, SnapReader, SnapShared, SnapWriter};
+
+    pub fn save<T: Snap>(v: &[T], w: &mut SnapWriter) {
+        v.iter().for_each(|x| x.save(w));
+    }
+
+    pub fn load<T: Snap>(v: &mut [T], r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        v.iter_mut().try_for_each(|x| x.load(r))
+    }
+
+    pub fn load_shared<T: SnapShared>(v: &[T], r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        v.iter().try_for_each(|x| x.load_shared(r))
+    }
+}
+
+/// Codec for an optional part of the machine (a fault injector, the
+/// checker): the presence flag must match the rebuilt machine's, and the
+/// part loads in place.
+pub mod present {
+    use super::{Snap, SnapError, SnapReader, SnapWriter};
+
+    pub fn save<T: Snap>(v: &Option<T>, w: &mut SnapWriter) {
+        w.bool(v.is_some());
+        if let Some(x) = v {
+            x.save(w);
+        }
+    }
+
+    pub fn load<T: Snap>(v: &mut Option<T>, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        match (r.bool()?, v) {
+            (true, Some(x)) => x.load(r),
+            (false, None) => Ok(()),
+            _ => Err(SnapError::Corrupt { what: "presence differs from the rebuilt machine" }),
+        }
+    }
+}
+
+/// Codec for an optional thread id written as a 64-bit value (the lock
+/// holders' layout).
+pub mod wide {
+    use super::{Decode, Snap, SnapError, SnapReader, SnapWriter};
+    use crate::ThreadId;
+
+    pub fn save(v: &Option<ThreadId>, w: &mut SnapWriter) {
+        v.map(|t| u64::from(t.0)).save(w);
+    }
+
+    pub fn load(v: &mut Option<ThreadId>, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *v = Option::<u64>::decode(r)?
+            .map(|t| u16::try_from(t).map(ThreadId))
+            .transpose()
+            .map_err(|_| SnapError::Corrupt { what: "thread id" })?;
+        Ok(())
+    }
+}
+
+/// Generates [`Snap`] (and [`Decode`] or [`SnapShared`], by form) for one
+/// type from the list of its fields or variants; see the module docs.
+#[macro_export]
+macro_rules! snap {
+    (enum $name:ident {
+        $($tag:literal => $var:ident $(($($tf:ident),* $(,)?))? $({$($sf:ident),* $(,)?})?),* $(,)?
+    }) => {
+        impl $crate::snap::Snap for $name {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                match self {
+                    $(Self::$var $(($($tf),*))? $({$($sf),*})? => {
+                        w.u8($tag);
+                        $($($crate::snap::Snap::save($tf, w);)*)?
+                        $($($crate::snap::Snap::save($sf, w);)*)?
+                    })*
+                }
+            }
+            fn load(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<(), $crate::snap::SnapError> {
+                *self = <Self as $crate::snap::Decode>::decode(r)?;
+                Ok(())
+            }
+        }
+        impl $crate::snap::Decode for $name {
+            fn decode(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                Ok(match r.u8()? {
+                    $($tag => Self::$var
+                        $(($({ let $tf = $crate::snap::Decode::decode(r)?; $tf }),*))?
+                        $({$($sf: $crate::snap::Decode::decode(r)?),*})?,)*
+                    tag => {
+                        return Err($crate::snap::SnapError::BadTag {
+                            what: concat!(module_path!(), "::", stringify!($name)),
+                            tag: u64::from(tag),
+                        })
+                    }
+                })
+            }
+        }
+    };
+    (shared $name:ident $(mark $label:literal)? {
+        $($field:ident $(as $codec:ident)?),* $(,)?
+        $(; skip $($skip:ident),* $(,)?)?
+    }) => {
+        #[allow(unused_variables)] // a type with no dynamic state writes nothing
+        impl $crate::snap::Snap for $name {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self { $($field,)* $($($skip: _,)*)? } = self;
+                $(w.mark($label);)?
+                $($crate::__snap_field!(save $field, w $(, $codec)?);)*
+            }
+            fn load(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<(), $crate::snap::SnapError> {
+                $crate::snap::SnapShared::load_shared(self, r)
+            }
+        }
+        #[allow(unused_variables)]
+        impl $crate::snap::SnapShared for $name {
+            fn load_shared(
+                &self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<(), $crate::snap::SnapError> {
+                let Self { $($field,)* $($($skip: _,)*)? } = self;
+                $(r.expect($label)?;)?
+                $($crate::__snap_field!(load_shared $field, r $(, $codec)?);)*
+                Ok(())
+            }
+        }
+    };
+    ($name:ident $(<$($g:ident),*>)? $(mark $label:literal)? { $($field:ident),* $(,)? }) => {
+        $crate::snap!(@snap $name $(<$($g),*>)? [$($label)?] [$($field),*] []);
+        impl<$($($g: $crate::snap::Decode),*)?> $crate::snap::Decode for $name $(<$($g),*>)? {
+            fn decode(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                $(r.expect($label)?;)?
+                Ok(Self { $($field: $crate::snap::Decode::decode(r)?,)* })
+            }
+        }
+    };
+    ($name:ident $(<$($g:ident),*>)? $(mark $label:literal)? {
+        $($field:ident $(as $codec:ident)?),* $(,)?
+        $(; skip $($skip:ident),* $(,)?)?
+    }) => {
+        $crate::snap!(@snap $name $(<$($g),*>)? [$($label)?]
+            [$($field $(as $codec)?),*] [$($($skip),*)?]);
+    };
+    ($name:ident ($($f:ident),* $(,)?)) => {
+        impl $crate::snap::Snap for $name {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self($($f),*) = self;
+                $($crate::snap::Snap::save($f, w);)*
+            }
+            fn load(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<(), $crate::snap::SnapError> {
+                let Self($($f),*) = self;
+                $($crate::snap::Snap::load($f, r)?;)*
+                Ok(())
+            }
+        }
+        impl $crate::snap::Decode for $name {
+            fn decode(
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<Self, $crate::snap::SnapError> {
+                Ok(Self($({ let $f = $crate::snap::Decode::decode(r)?; $f }),*))
+            }
+        }
+    };
+    (@snap $name:ident $(<$($g:ident),*>)? [$($label:literal)?]
+        [$($field:ident $(as $codec:ident)?),*] [$($skip:ident),*]) => {
+        #[allow(unused_variables)] // a type with no dynamic state writes nothing
+        impl<$($($g: $crate::snap::Decode),*)?> $crate::snap::Snap for $name $(<$($g),*>)? {
+            fn save(&self, w: &mut $crate::snap::SnapWriter) {
+                let Self { $($field,)* $($skip: _,)* } = self;
+                $(w.mark($label);)?
+                $($crate::__snap_field!(save $field, w $(, $codec)?);)*
+            }
+            fn load(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<(), $crate::snap::SnapError> {
+                let Self { $($field,)* $($skip: _,)* } = self;
+                $(r.expect($label)?;)?
+                $($crate::__snap_field!(load $field, r $(, $codec)?);)*
+                Ok(())
+            }
+        }
+    };
+}
+
+/// One field's half of a [`snap!`](crate::snap!) declaration: the field
+/// type's own codec, or the codec module named after `as`.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __snap_field {
+    (save $f:ident, $w:ident) => { $crate::snap::Snap::save($f, $w) };
+    (save $f:ident, $w:ident, $codec:ident) => { $crate::snap::$codec::save($f, $w) };
+    (load $f:ident, $r:ident) => { $crate::snap::Snap::load($f, $r)? };
+    (load $f:ident, $r:ident, $codec:ident) => { $crate::snap::$codec::load($f, $r)? };
+    (load_shared $f:ident, $r:ident) => { $crate::snap::SnapShared::load_shared($f, $r)? };
+    (load_shared $f:ident, $r:ident, $codec:ident) => {
+        $crate::snap::$codec::load_shared($f, $r)?
+    };
 }
 
 /// FNV-1a 64-bit accumulator for configuration fingerprints. Feed it the
@@ -353,10 +870,11 @@ mod tests {
         w.usize(99);
         w.f64(-0.0);
         w.f64(f64::NAN);
-        w.opt_u64(None);
-        w.opt_u64(Some(5));
+        None::<u64>.save(&mut w);
+        Some(5u64).save(&mut w);
         w.str("héllo");
-        w.u64_slice(&[1, 2, 3]);
+        vec![1u64, 2, 3].save(&mut w);
+        (u128::MAX - 1).save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         r.expect("test").unwrap();
@@ -370,10 +888,11 @@ mod tests {
         let z = r.f64().unwrap();
         assert_eq!(z.to_bits(), (-0.0f64).to_bits(), "signed zero preserved");
         assert!(r.f64().unwrap().is_nan());
-        assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_u64().unwrap(), Some(5));
+        assert_eq!(Option::<u64>::decode(&mut r).unwrap(), None);
+        assert_eq!(Option::<u64>::decode(&mut r).unwrap(), Some(5));
         assert_eq!(r.str().unwrap(), "héllo");
-        assert_eq!(r.u64_vec().unwrap(), vec![1, 2, 3]);
+        assert_eq!(Vec::<u64>::decode(&mut r).unwrap(), vec![1, 2, 3]);
+        assert_eq!(u128::decode(&mut r).unwrap(), u128::MAX - 1);
         assert_eq!(r.remaining(), 0);
     }
 
@@ -404,11 +923,89 @@ mod tests {
 
     #[test]
     fn seq_round_trips() {
+        let deque: VecDeque<(u16, bool)> = [(1, true), (2, false)].into();
         let mut w = SnapWriter::new();
-        w.seq(&[10u64, 20, 30], |w, &x| w.u64(x));
+        deque.save(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.seq(|r| r.u64()).unwrap(), vec![10, 20, 30]);
+        assert_eq!(VecDeque::<(u16, bool)>::decode(&mut r).unwrap(), deque);
+        assert_eq!(r.remaining(), 0);
+    }
+
+    /// A hash map saves in key order, so equal maps give equal bytes
+    /// whatever their insertion history.
+    #[test]
+    fn hash_maps_save_sorted_by_key() {
+        let encode = |keys: &[u64]| {
+            let map: HashMap<u64, u64> = keys.iter().map(|&k| (k, k * 10)).collect();
+            let mut w = SnapWriter::new();
+            map.save(&mut w);
+            w.into_bytes()
+        };
+        let bytes = encode(&[3, 1, 2]);
+        assert_eq!(bytes, encode(&[2, 3, 1]));
+        let map = HashMap::<u64, u64>::decode(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(map.len(), 3);
+        assert_eq!(map[&2], 20);
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Line(u64),
+        Box { w: u16, h: u16 },
+    }
+    crate::snap!(enum Shape { 0 => Dot, 1 => Line(len), 2 => Box { w, h } });
+
+    struct Canvas {
+        width: u32,
+        shapes: Vec<Shape>,
+        cursor: [u8; 2],
+        faults: Option<u64>,
+    }
+    crate::snap!(Canvas mark "canvas" { shapes, cursor, faults as present; skip width });
+
+    fn canvas(faults: Option<u64>) -> Canvas {
+        Canvas { width: 4, shapes: Vec::new(), cursor: [0; 2], faults }
+    }
+
+    #[test]
+    fn declarations_round_trip_in_place() {
+        let mut c = canvas(Some(0));
+        c.shapes = vec![Shape::Dot, Shape::Line(9), Shape::Box { w: 2, h: 3 }];
+        c.cursor = [5, 6];
+        c.faults = Some(7);
+        let mut w = SnapWriter::new();
+        c.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut rebuilt = canvas(Some(0));
+        rebuilt.load(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(rebuilt.shapes, c.shapes);
+        assert_eq!((rebuilt.width, rebuilt.cursor, rebuilt.faults), (4, [5, 6], Some(7)));
+    }
+
+    #[test]
+    fn declarations_refuse_bad_tags_and_shapes() {
+        let mut w = SnapWriter::new();
+        w.u8(3);
+        let err = Shape::decode(&mut SnapReader::new(&w.into_bytes())).unwrap_err();
+        assert!(matches!(err, SnapError::BadTag { tag: 3, .. }), "{err}");
+
+        let mut w = SnapWriter::new();
+        canvas(None).save(&mut w);
+        let bytes = w.into_bytes();
+        let err = canvas(Some(0)).load(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt { .. }), "presence: {err}");
+
+        let v: Vec<u64> = vec![1, 2, 3];
+        let mut w = SnapWriter::new();
+        fixed::save(&v, &mut w);
+        let bytes = w.into_bytes();
+        let err = fixed::load(&mut [0u64; 2], &mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt { .. }), "length: {err}");
+
+        let err = canvas(None).load(&mut SnapReader::new(&[0; 4])).unwrap_err();
+        assert_eq!(err, SnapError::MarkMismatch { label: "canvas" });
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Statistics containers used throughout the simulator.
 
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
 
 /// A monotone event counter.
@@ -30,6 +30,7 @@ impl Counter {
 pub struct Histogram {
     bins: Vec<u64>,
 }
+crate::snap!(Histogram { bins as fixed });
 
 impl Histogram {
     /// A histogram with bins `0..n_bins`.
@@ -74,19 +75,6 @@ impl Histogram {
             *a += b;
         }
     }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64_slice(&self.bins);
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let bins = r.u64_vec()?;
-        if bins.len() != self.bins.len() {
-            return Err(SnapError::Corrupt { what: "histogram bin count" });
-        }
-        self.bins = bins;
-        Ok(())
-    }
 }
 
 /// Running mean/min/max of an f64 series (used for latency summaries).
@@ -97,6 +85,7 @@ pub struct Summary {
     pub min: f64,
     pub max: f64,
 }
+crate::snap!(Summary { count, sum, min, max });
 
 impl Summary {
     pub fn record(&mut self, v: f64) {
@@ -117,21 +106,6 @@ impl Summary {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        w.f64(self.sum);
-        w.f64(self.min);
-        w.f64(self.max);
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.count = r.u64()?;
-        self.sum = r.f64()?;
-        self.min = r.f64()?;
-        self.max = r.f64()?;
-        Ok(())
     }
 }
 
@@ -160,27 +134,27 @@ impl CounterSet {
             self.add(k, v);
         }
     }
+}
 
-    pub fn save_state(&self, w: &mut SnapWriter) {
+/// Keys are interned with [`Box::leak`] on load: the set's hot-path API
+/// takes `&'static str`, and a restore happens at most a handful of times
+/// per process, so the few hundred leaked bytes are an accepted cost of
+/// keeping recording allocation-free.
+impl Snap for CounterSet {
+    fn save(&self, w: &mut SnapWriter) {
         w.usize(self.counters.len());
-        for (k, v) in self.counters.iter() {
+        for (k, v) in &self.counters {
             w.str(k);
             w.u64(*v);
         }
     }
 
-    /// Restore a saved key set. Keys are interned with [`Box::leak`]: the
-    /// set's hot-path API takes `&'static str`, and a restore happens at
-    /// most a handful of times per process, so the few hundred leaked
-    /// bytes are an accepted cost of keeping recording allocation-free.
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let n = r.usize()?;
         self.counters.clear();
         for _ in 0..n {
-            let k = r.str()?;
-            let v = r.u64()?;
-            let key: &'static str = Box::leak(k.into_boxed_str());
-            self.counters.insert(key, v);
+            let key: &'static str = Box::leak(r.str()?.into_boxed_str());
+            self.counters.insert(key, r.u64()?);
         }
         Ok(())
     }

@@ -43,7 +43,6 @@ use glocks::GlockNetwork;
 use glocks_cpu::LockTracker;
 use glocks_locks::failback::{FailbackCtl, FailbackMode};
 use glocks_mem::MemorySystem;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::{Cycle, LockId, ThreadId};
 use glocks_stats as gstats;
 use std::rc::Rc;
@@ -75,6 +74,7 @@ struct WaitWatch {
     since: Cycle,
     acquires_then: u64,
 }
+glocks_sim_base::snap!(WaitWatch { tid, since, acquires_then });
 
 /// The runtime checker's state across a run.
 pub struct ProtocolChecker {
@@ -83,6 +83,10 @@ pub struct ProtocolChecker {
     n_cores: u64,
     checks_run: u64,
 }
+glocks_sim_base::snap!(ProtocolChecker mark "checker" {
+    watches as fixed, checks_run;
+    skip cfg, n_cores
+});
 
 impl ProtocolChecker {
     pub fn new(cfg: CheckerConfig, n_locks: usize, n_cores: usize) -> Self {
@@ -191,46 +195,6 @@ impl ProtocolChecker {
             }
         }
         None
-    }
-
-    /// Serialize the armed bounded-waiting watches and the check counter.
-    /// Without them a resumed run would re-arm every watch one sampling
-    /// period later than the uninterrupted run and publish a different
-    /// `checker.checks_run`.
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.mark("checker");
-        w.seq(&self.watches, |w, watch| match watch {
-            None => w.bool(false),
-            Some(wt) => {
-                w.bool(true);
-                w.u16(wt.tid.0);
-                w.u64(wt.since);
-                w.u64(wt.acquires_then);
-            }
-        });
-        w.u64(self.checks_run);
-    }
-
-    /// Restore state saved by [`ProtocolChecker::save_state`].
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect("checker")?;
-        let watches = r.seq(|r| {
-            Ok(if r.bool()? {
-                Some(WaitWatch {
-                    tid: ThreadId(r.u16()?),
-                    since: r.u64()?,
-                    acquires_then: r.u64()?,
-                })
-            } else {
-                None
-            })
-        })?;
-        if watches.len() != self.watches.len() {
-            return Err(SnapError::Corrupt { what: "checker lock count" });
-        }
-        self.watches = watches;
-        self.checks_run = r.u64()?;
-        Ok(())
     }
 
     /// Publish the checker's own counters (only registered when the

@@ -6,10 +6,13 @@ use crate::mapping::LockMapping;
 use crate::report::{SimReport, TrafficSnapshot};
 use crate::snapshot::Snapshot;
 use glocks::{GBarrierNetwork, GlockNetwork, GlockPool, Topology};
-use glocks_cpu::{Backends, BarrierBackend, Core, LockBackend, LockTracker, Script, Workload};
+use glocks_cpu::{
+    snap_methods, Backends, BarrierBackend, Core, LockBackend, LockTracker, Script, Workload,
+};
 use glocks_sim_base::fault::{FaultPlan, FaultSite, HardFaultTarget};
 use glocks_sim_base::snap::{
-    Fingerprint, SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION,
+    fixed, present, Decode, Fingerprint, Snap, SnapError, SnapReader, SnapShared, SnapWriter,
+    SNAP_MAGIC, SNAP_VERSION,
 };
 use glocks_sim_base::ThreadId;
 use glocks_energy::{EnergyInputs, EnergyModel};
@@ -47,6 +50,24 @@ impl PartitionedBarrier {
     }
 }
 
+/// Hand-written: each partition's barrier in turn, without a count (the
+/// partitions are structure).
+impl Snap for PartitionedBarrier {
+    fn save(&self, w: &mut SnapWriter) {
+        self.groups.iter().for_each(|(_, barrier)| barrier.save(w));
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.load_shared(r)
+    }
+}
+
+impl SnapShared for PartitionedBarrier {
+    fn load_shared(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.groups.iter().try_for_each(|(_, barrier)| barrier.load_shared(r))
+    }
+}
+
 impl PartitionedBarrier {
     fn group_of(&self, tid: ThreadId) -> (usize, &TreeBarrier) {
         let t = tid.index();
@@ -66,19 +87,7 @@ impl BarrierBackend for PartitionedBarrier {
         barrier.wait(ThreadId((tid.index() - first) as u16))
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        for (_, barrier) in &self.groups {
-            barrier.save_state(w)?;
-        }
-        Ok(())
-    }
-
-    fn load_state(&self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for (_, barrier) in &self.groups {
-            barrier.load_state(r)?;
-        }
-        Ok(())
-    }
+    snap_methods!(backend);
 
     fn load_wait_script(
         &self,
@@ -780,35 +789,22 @@ impl Simulation {
         w.u64(self.fingerprint);
         w.u64(self.now);
         w.mark("sim");
-        w.u64(self.progress_mark.0);
-        w.u64(self.progress_mark.1);
+        self.progress_mark.save(&mut w);
         w.usize(self.cores.len());
         for core in &self.cores {
             core.save_state(&mut w)?;
         }
-        self.tracker.save_state(&mut w);
-        self.mem.save_state(&mut w);
-        w.usize(self.glock_nets.len());
-        for net in &self.glock_nets {
-            net.save_state(&mut w);
-        }
-        w.bool(self.gbarrier.is_some());
-        if let Some(b) = &self.gbarrier {
-            b.save_state(&mut w);
-        }
-        w.bool(self.pool.is_some());
-        if let Some(p) = &self.pool {
-            p.save_state(&mut w);
-        }
+        self.tracker.save(&mut w);
+        self.mem.save(&mut w);
+        fixed::save(&self.glock_nets, &mut w);
+        present::save(&self.gbarrier, &mut w);
+        present::save(&self.pool, &mut w);
         w.usize(self.locks.len());
         for backend in &self.locks {
             backend.save_state(&mut w)?;
         }
         self.barrier.save_state(&mut w)?;
-        w.bool(self.checker.is_some());
-        if let Some(ck) = &self.checker {
-            ck.save_state(&mut w);
-        }
+        present::save(&self.checker, &mut w);
         // The typed-stats registry records live histograms during the run;
         // without it a resumed dump would be missing every pre-checkpoint
         // sample.
@@ -834,36 +830,19 @@ impl Simulation {
         }
         let mut r = snapshot.body();
         r.expect("sim")?;
-        let progress_mark = (r.u64()?, r.u64()?);
+        let progress_mark = Decode::decode(&mut r)?;
         if r.usize()? != self.cores.len() {
             return Err(SnapError::Corrupt { what: "core count" });
         }
-        {
-            let backends = Backends { locks: &self.locks, barrier: self.barrier.as_ref() };
-            for core in &mut self.cores {
-                core.load_state(&mut r, &backends)?;
-            }
+        let backends = Backends { locks: &self.locks, barrier: self.barrier.as_ref() };
+        for core in &mut self.cores {
+            core.load_state(&mut r, &backends)?;
         }
-        self.tracker.load_state(&mut r)?;
-        self.mem.load_state(&mut r)?;
-        if r.usize()? != self.glock_nets.len() {
-            return Err(SnapError::Corrupt { what: "glock network count" });
-        }
-        for net in &mut self.glock_nets {
-            net.load_state(&mut r)?;
-        }
-        if r.bool()? != self.gbarrier.is_some() {
-            return Err(SnapError::Corrupt { what: "gbarrier presence" });
-        }
-        if let Some(b) = self.gbarrier.as_mut() {
-            b.load_state(&mut r)?;
-        }
-        if r.bool()? != self.pool.is_some() {
-            return Err(SnapError::Corrupt { what: "glock pool presence" });
-        }
-        if let Some(p) = &self.pool {
-            p.load_state(&mut r)?;
-        }
+        self.tracker.load(&mut r)?;
+        self.mem.load(&mut r)?;
+        fixed::load(&mut self.glock_nets, &mut r)?;
+        present::load(&mut self.gbarrier, &mut r)?;
+        present::load(&mut self.pool, &mut r)?;
         if r.usize()? != self.locks.len() {
             return Err(SnapError::Corrupt { what: "lock backend count" });
         }
@@ -871,12 +850,7 @@ impl Simulation {
             backend.load_state(&mut r)?;
         }
         self.barrier.load_state(&mut r)?;
-        if r.bool()? != self.checker.is_some() {
-            return Err(SnapError::Corrupt { what: "checker presence" });
-        }
-        if let Some(ck) = self.checker.as_mut() {
-            ck.load_state(&mut r)?;
-        }
+        present::load(&mut self.checker, &mut r)?;
         let stats_on = r.bool()?;
         if stats_on != glocks_stats::is_enabled() {
             return Err(SnapError::Corrupt { what: "stats enablement mismatch" });

@@ -6,6 +6,8 @@
 //! coherence-bound MCS handoff (tens to hundreds of cycles) while keeping
 //! recording O(1) and the memory footprint constant.
 
+use glocks_sim_base::snap::{Decode, Snap, SnapError, SnapReader};
+
 /// Number of buckets: value 0 plus one bucket per `u64` bit position.
 pub const N_BUCKETS: usize = 65;
 
@@ -17,6 +19,17 @@ pub struct Log2Histogram {
     sum: u64,
     min: u64,
     max: u64,
+}
+// `min` is saved raw (u64::MAX when empty), so the sentinel round-trips.
+glocks_sim_base::snap!(Log2Histogram { buckets as fixed, count, sum, min, max });
+
+/// Registry checkpoints decode histograms fresh.
+impl Decode for Log2Histogram {
+    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let mut h = Self::new();
+        h.load(r)?;
+        Ok(h)
+    }
 }
 
 impl Default for Log2Histogram {
@@ -139,33 +152,6 @@ impl Log2Histogram {
             self.max,
             q,
         )
-    }
-
-    pub fn save_state(&self, w: &mut glocks_sim_base::snap::SnapWriter) {
-        w.u64_slice(&self.buckets);
-        w.u64(self.count);
-        w.u64(self.sum);
-        // raw min (u64::MAX when empty), so the sentinel round-trips
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-
-    pub fn load_state(
-        &mut self,
-        r: &mut glocks_sim_base::snap::SnapReader<'_>,
-    ) -> Result<(), glocks_sim_base::snap::SnapError> {
-        let buckets = r.u64_vec()?;
-        if buckets.len() != N_BUCKETS {
-            return Err(glocks_sim_base::snap::SnapError::Corrupt {
-                what: "log2 histogram bucket count",
-            });
-        }
-        self.buckets.copy_from_slice(&buckets);
-        self.count = r.u64()?;
-        self.sum = r.u64()?;
-        self.min = r.u64()?;
-        self.max = r.u64()?;
-        Ok(())
     }
 
     /// Merge another histogram into this one.

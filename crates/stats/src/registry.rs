@@ -28,7 +28,7 @@
 use crate::dump::{HistDump, SeriesDump, StatsDump, SCHEMA_VERSION};
 use crate::hist::Log2Histogram;
 use crate::series::TimeSeries;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
+use glocks_sim_base::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -87,6 +87,10 @@ struct Registry {
     instances: BTreeMap<String, u32>,
     meta: BTreeMap<String, String>,
 }
+glocks_sim_base::snap!(Registry mark "stats-registry" {
+    enabled, period, counters, hists, series, instances, meta;
+    skip by_name
+});
 
 thread_local! {
     static REG: RefCell<Registry> = RefCell::new(Registry::default());
@@ -284,34 +288,7 @@ pub fn push(id: SeriesId, v: f64) {
 /// [`restore_registry`] this makes a resumed run's [`snapshot`] dump
 /// byte-identical to an uninterrupted one.
 pub fn save_registry(w: &mut SnapWriter) {
-    REG.with(|reg| {
-        let reg = reg.borrow();
-        w.mark("stats-registry");
-        w.bool(reg.enabled);
-        w.u64(reg.period);
-        w.seq(&reg.counters.iter().collect::<Vec<_>>(), |w, (n, v)| {
-            w.str(n);
-            w.u64(*v);
-        });
-        w.seq(&reg.hists.iter().collect::<Vec<_>>(), |w, (n, h)| {
-            w.str(n);
-            h.save_state(w);
-        });
-        w.seq(&reg.series.iter().collect::<Vec<_>>(), |w, (n, s)| {
-            w.str(n);
-            s.save_state(w);
-        });
-        w.usize(reg.instances.len());
-        for (k, v) in reg.instances.iter() {
-            w.str(k);
-            w.u32(*v);
-        }
-        w.usize(reg.meta.len());
-        for (k, v) in reg.meta.iter() {
-            w.str(k);
-            w.str(v);
-        }
-    });
+    REG.with(|reg| reg.borrow().save(w));
 }
 
 /// Restore a registry checkpoint written by [`save_registry`].
@@ -322,68 +299,29 @@ pub fn save_registry(w: &mut SnapWriter) {
 /// match the snapshot exactly (same set, same order) — a mismatch means
 /// the snapshot belongs to a different configuration and is rejected.
 pub fn restore_registry(r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-    r.expect("stats-registry")?;
-    let enabled = r.bool()?;
-    let period = r.u64()?;
-    let counters: Vec<(String, u64)> = r.seq(|r| Ok((r.str()?, r.u64()?)))?;
-    let hists: Vec<(String, Log2Histogram)> = r.seq(|r| {
-        let n = r.str()?;
-        let mut h = Log2Histogram::new();
-        h.load_state(r)?;
-        Ok((n, h))
-    })?;
-    let series: Vec<(String, TimeSeries)> = r.seq(|r| {
-        let n = r.str()?;
-        let mut s = TimeSeries::new(1);
-        s.load_state(r)?;
-        Ok((n, s))
-    })?;
-    let n_inst = r.usize()?;
-    let mut instances = BTreeMap::new();
-    for _ in 0..n_inst {
-        let k = r.str()?;
-        let v = r.u32()?;
-        instances.insert(k, v);
-    }
-    let n_meta = r.usize()?;
-    let mut meta = BTreeMap::new();
-    for _ in 0..n_meta {
-        let k = r.str()?;
-        let v = r.str()?;
-        meta.insert(k, v);
-    }
+    let mut saved = Registry::default();
+    saved.load(r)?;
     REG.with(|reg| {
         let mut reg = reg.borrow_mut();
-        if reg.enabled != enabled {
+        if reg.enabled != saved.enabled {
             return Err(SnapError::Corrupt { what: "stats enabled flag mismatch" });
         }
-        if !enabled {
+        if !saved.enabled {
             // Stats were off when the checkpoint was taken; there is
             // nothing to restore and the fresh registry is already empty.
             return Ok(());
         }
-        let same_names = |have: &[(String, Log2Histogram)], want: &[(String, Log2Histogram)]| {
-            have.len() == want.len()
-                && have.iter().zip(want).all(|((a, _), (b, _))| a == b)
-        };
-        if reg.counters.len() != counters.len()
-            || reg
-                .counters
-                .iter()
-                .zip(&counters)
-                .any(|((a, _), (b, _))| a != b)
-            || !same_names(&reg.hists, &hists)
-            || reg.series.len() != series.len()
-            || reg.series.iter().zip(&series).any(|((a, _), (b, _))| a != b)
+        fn same_names<A, B>(have: &[(String, A)], want: &[(String, B)]) -> bool {
+            have.len() == want.len() && have.iter().zip(want).all(|(a, b)| a.0 == b.0)
+        }
+        if !same_names(&reg.counters, &saved.counters)
+            || !same_names(&reg.hists, &saved.hists)
+            || !same_names(&reg.series, &saved.series)
         {
             return Err(SnapError::Corrupt { what: "stats registration order mismatch" });
         }
-        reg.period = period;
-        reg.counters = counters;
-        reg.hists = hists;
-        reg.series = series;
-        reg.instances = instances;
-        reg.meta = meta;
+        let by_name = std::mem::take(&mut reg.by_name);
+        *reg = Registry { by_name, ..saved };
         Ok(())
     })
 }

@@ -1,7 +1,5 @@
 //! Bounded time series sampled every N cycles.
 
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-
 /// Maximum points kept before the series decimates itself.
 pub const SERIES_CAP: usize = 2048;
 
@@ -20,6 +18,7 @@ pub struct TimeSeries {
     stride: u64,
     pending: u64,
 }
+glocks_sim_base::snap!(TimeSeries { period, stride, pending, points });
 
 impl TimeSeries {
     pub fn new(period: u64) -> Self {
@@ -42,21 +41,6 @@ impl TimeSeries {
 
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    pub fn save_state(&self, w: &mut SnapWriter) {
-        w.u64(self.period);
-        w.u64(self.stride);
-        w.u64(self.pending);
-        w.seq(&self.points, |w, &p| w.f64(p));
-    }
-
-    pub fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.period = r.u64()?;
-        self.stride = r.u64()?;
-        self.pending = r.u64()?;
-        self.points = r.seq(|r| r.f64())?;
-        Ok(())
     }
 
     /// Append one sample (call at the registry's base sampling cadence).

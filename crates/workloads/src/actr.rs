@@ -9,10 +9,9 @@
 //! largest (MCS is inefficient at low contention).
 
 use crate::{BenchConfig, BenchInstance, DATA_BASE};
-use glocks_cpu::{Action, Workload};
+use glocks_cpu::{snap_methods, Action, Workload};
 use glocks_mem::MemOp;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, LockId};
+use glocks_sim_base::{snap, Addr, LockId};
 
 fn ctr0() -> Addr {
     DATA_BASE
@@ -34,12 +33,25 @@ enum Phase {
     ExitSecond,
     EndBarrier,
 }
+snap!(enum Phase {
+    0 => EnterFirst,
+    1 => LoadFirst,
+    2 => StoreFirst,
+    3 => ExitFirst,
+    4 => BarrierWait,
+    5 => EnterSecond,
+    6 => LoadSecond,
+    7 => StoreSecond,
+    8 => ExitSecond,
+    9 => EndBarrier,
+});
 
 struct ActrLoop {
     iters: u64,
     phase: Phase,
     seen: u64,
 }
+snap!(ActrLoop { phase, iters, seen });
 
 impl Workload for ActrLoop {
     fn next(&mut self, last: u64) -> Action {
@@ -93,42 +105,7 @@ impl Workload for ActrLoop {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u8(match self.phase {
-            Phase::EnterFirst => 0,
-            Phase::LoadFirst => 1,
-            Phase::StoreFirst => 2,
-            Phase::ExitFirst => 3,
-            Phase::BarrierWait => 4,
-            Phase::EnterSecond => 5,
-            Phase::LoadSecond => 6,
-            Phase::StoreSecond => 7,
-            Phase::ExitSecond => 8,
-            Phase::EndBarrier => 9,
-        });
-        w.u64(self.iters);
-        w.u64(self.seen);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.phase = match r.u8()? {
-            0 => Phase::EnterFirst,
-            1 => Phase::LoadFirst,
-            2 => Phase::StoreFirst,
-            3 => Phase::ExitFirst,
-            4 => Phase::BarrierWait,
-            5 => Phase::EnterSecond,
-            6 => Phase::LoadSecond,
-            7 => Phase::StoreSecond,
-            8 => Phase::ExitSecond,
-            9 => Phase::EndBarrier,
-            tag => return Err(SnapError::BadTag { what: "actr phase", tag: u64::from(tag) }),
-        };
-        self.iters = r.u64()?;
-        self.seen = r.u64()?;
-        Ok(())
-    }
+    snap_methods!(workload);
 }
 
 /// Build ACTR. All threads run the same number of iterations (the barrier

@@ -11,10 +11,9 @@
 //! that a mutual-exclusion failure corrupts the final count.
 
 use crate::{share, BenchConfig, BenchInstance, DATA_BASE};
-use glocks_cpu::{Action, Workload};
+use glocks_cpu::{snap_methods, Action, Workload};
 use glocks_mem::MemOp;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, LockId};
+use glocks_sim_base::{snap, Addr, LockId};
 
 /// Cycles of "work" between critical sections (keeps a short re-entry gap
 /// so the lock stays saturated, as in the paper's microbenchmarks).
@@ -30,6 +29,7 @@ enum Phase {
     Exit,
     Rest,
 }
+snap!(enum Phase { 0 => Enter, 1 => Load, 2 => Bump, 3 => Store, 4 => Exit, 5 => Rest });
 
 struct CounterLoop {
     counter: Addr,
@@ -37,6 +37,7 @@ struct CounterLoop {
     phase: Phase,
     seen: u64,
 }
+snap!(CounterLoop { phase, iters, seen; skip counter });
 
 impl CounterLoop {
     fn new(counter: Addr, iters: u64) -> Self {
@@ -79,36 +80,7 @@ impl Workload for CounterLoop {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        w.u8(match self.phase {
-            Phase::Enter => 0,
-            Phase::Load => 1,
-            Phase::Bump => 2,
-            Phase::Store => 3,
-            Phase::Exit => 4,
-            Phase::Rest => 5,
-        });
-        w.u64(self.iters);
-        w.u64(self.seen);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.phase = match r.u8()? {
-            0 => Phase::Enter,
-            1 => Phase::Load,
-            2 => Phase::Bump,
-            3 => Phase::Store,
-            4 => Phase::Exit,
-            5 => Phase::Rest,
-            tag => {
-                return Err(SnapError::BadTag { what: "counter phase", tag: u64::from(tag) })
-            }
-        };
-        self.iters = r.u64()?;
-        self.seen = r.u64()?;
-        Ok(())
-    }
+    snap_methods!(workload);
 }
 
 /// Build SCTR.

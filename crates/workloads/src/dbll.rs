@@ -8,11 +8,10 @@
 //! the lock), "uses" it, then enqueues it at the tail (under the lock).
 
 use crate::{share, BenchConfig, BenchInstance, DATA_BASE};
-use glocks_cpu::{Action, Workload};
+use glocks_cpu::{snap_methods, Action, Workload};
 use glocks_mem::store::WordStore;
 use glocks_mem::MemOp;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, LockId};
+use glocks_sim_base::{snap, Addr, LockId};
 
 /// Bytes per node record (next and prev words in separate lines).
 const NODE_STRIDE: u64 = 128;
@@ -48,6 +47,23 @@ enum Phase {
     ExitEnq,
     Rest,
 }
+snap!(enum Phase {
+    0 => EnterDeq,
+    1 => ReadHeadNext,
+    2 => ReadVictimNext,
+    3 => Unlink { victim },
+    4 => UnlinkBack { victim, after },
+    5 => ExitDeq { victim },
+    6 => Use { victim },
+    7 => EnterEnq { victim },
+    8 => ReadTailPrev { victim },
+    9 => LinkPrev { victim },
+    10 => LinkNext { victim, old_last },
+    11 => LinkTailPrev { victim },
+    12 => LinkNodeNext { victim },
+    13 => ExitEnq,
+    14 => Rest,
+});
 
 struct DbllLoop {
     head: Addr,
@@ -55,6 +71,7 @@ struct DbllLoop {
     iters: u64,
     phase: Phase,
 }
+snap!(DbllLoop { phase, iters; skip head, tail });
 
 impl Workload for DbllLoop {
     fn next(&mut self, last: u64) -> Action {
@@ -134,82 +151,7 @@ impl Workload for DbllLoop {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        match self.phase {
-            Phase::EnterDeq => w.u8(0),
-            Phase::ReadHeadNext => w.u8(1),
-            Phase::ReadVictimNext => w.u8(2),
-            Phase::Unlink { victim } => {
-                w.u8(3);
-                w.u64(victim);
-            }
-            Phase::UnlinkBack { victim, after } => {
-                w.u8(4);
-                w.u64(victim);
-                w.u64(after);
-            }
-            Phase::ExitDeq { victim } => {
-                w.u8(5);
-                w.u64(victim);
-            }
-            Phase::Use { victim } => {
-                w.u8(6);
-                w.u64(victim);
-            }
-            Phase::EnterEnq { victim } => {
-                w.u8(7);
-                w.u64(victim);
-            }
-            Phase::ReadTailPrev { victim } => {
-                w.u8(8);
-                w.u64(victim);
-            }
-            Phase::LinkPrev { victim } => {
-                w.u8(9);
-                w.u64(victim);
-            }
-            Phase::LinkNext { victim, old_last } => {
-                w.u8(10);
-                w.u64(victim);
-                w.u64(old_last);
-            }
-            Phase::LinkTailPrev { victim } => {
-                w.u8(11);
-                w.u64(victim);
-            }
-            Phase::LinkNodeNext { victim } => {
-                w.u8(12);
-                w.u64(victim);
-            }
-            Phase::ExitEnq => w.u8(13),
-            Phase::Rest => w.u8(14),
-        }
-        w.u64(self.iters);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.phase = match r.u8()? {
-            0 => Phase::EnterDeq,
-            1 => Phase::ReadHeadNext,
-            2 => Phase::ReadVictimNext,
-            3 => Phase::Unlink { victim: r.u64()? },
-            4 => Phase::UnlinkBack { victim: r.u64()?, after: r.u64()? },
-            5 => Phase::ExitDeq { victim: r.u64()? },
-            6 => Phase::Use { victim: r.u64()? },
-            7 => Phase::EnterEnq { victim: r.u64()? },
-            8 => Phase::ReadTailPrev { victim: r.u64()? },
-            9 => Phase::LinkPrev { victim: r.u64()? },
-            10 => Phase::LinkNext { victim: r.u64()?, old_last: r.u64()? },
-            11 => Phase::LinkTailPrev { victim: r.u64()? },
-            12 => Phase::LinkNodeNext { victim: r.u64()? },
-            13 => Phase::ExitEnq,
-            14 => Phase::Rest,
-            tag => return Err(SnapError::BadTag { what: "dbll phase", tag: u64::from(tag) }),
-        };
-        self.iters = r.u64()?;
-        Ok(())
-    }
+    snap_methods!(workload);
 }
 
 /// Build DBLL: sentinels at nodes 0 (head) and 1 (tail); payload nodes

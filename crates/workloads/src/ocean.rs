@@ -10,10 +10,9 @@
 //! with per-thread jitter that staggers arrivals at the reduction lock.
 
 use crate::{BenchConfig, BenchInstance, DATA_BASE};
-use glocks_cpu::{Action, Workload};
+use glocks_cpu::{snap_methods, Action, Workload};
 use glocks_mem::MemOp;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, LockId, SplitMix64};
+use glocks_sim_base::{snap, Addr, LockId, SplitMix64};
 
 /// Sweeps of the solver.
 pub const ITERS: u64 = 4;
@@ -46,6 +45,22 @@ enum Phase {
     SweepBarrier { iter: u64 },
     Finished,
 }
+snap!(enum Phase {
+    0 => SweepStart { iter },
+    1 => CellLoad { iter, i },
+    2 => CellStore { iter, i },
+    3 => Jitter { iter },
+    4 => RedEnter { iter },
+    5 => RedLoad { iter },
+    6 => RedStore { iter },
+    7 => RedExit { iter },
+    8 => AuxEnter { iter, which },
+    9 => AuxLoad { iter, which },
+    10 => AuxStore { iter, which },
+    11 => AuxExit { iter, which },
+    12 => SweepBarrier { iter },
+    13 => Finished,
+});
 
 struct OceanThread {
     tid: usize,
@@ -55,6 +70,7 @@ struct OceanThread {
     phase: Phase,
     seen: u64,
 }
+snap!(OceanThread { phase, seen; skip tid, first_cell, n_cells, seed });
 
 impl Workload for OceanThread {
     fn next(&mut self, last: u64) -> Action {
@@ -142,93 +158,7 @@ impl Workload for OceanThread {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        match self.phase {
-            Phase::SweepStart { iter } => {
-                w.u8(0);
-                w.u64(iter);
-            }
-            Phase::CellLoad { iter, i } => {
-                w.u8(1);
-                w.u64(iter);
-                w.u64(i);
-            }
-            Phase::CellStore { iter, i } => {
-                w.u8(2);
-                w.u64(iter);
-                w.u64(i);
-            }
-            Phase::Jitter { iter } => {
-                w.u8(3);
-                w.u64(iter);
-            }
-            Phase::RedEnter { iter } => {
-                w.u8(4);
-                w.u64(iter);
-            }
-            Phase::RedLoad { iter } => {
-                w.u8(5);
-                w.u64(iter);
-            }
-            Phase::RedStore { iter } => {
-                w.u8(6);
-                w.u64(iter);
-            }
-            Phase::RedExit { iter } => {
-                w.u8(7);
-                w.u64(iter);
-            }
-            Phase::AuxEnter { iter, which } => {
-                w.u8(8);
-                w.u64(iter);
-                w.u64(which);
-            }
-            Phase::AuxLoad { iter, which } => {
-                w.u8(9);
-                w.u64(iter);
-                w.u64(which);
-            }
-            Phase::AuxStore { iter, which } => {
-                w.u8(10);
-                w.u64(iter);
-                w.u64(which);
-            }
-            Phase::AuxExit { iter, which } => {
-                w.u8(11);
-                w.u64(iter);
-                w.u64(which);
-            }
-            Phase::SweepBarrier { iter } => {
-                w.u8(12);
-                w.u64(iter);
-            }
-            Phase::Finished => w.u8(13),
-        }
-        w.u64(self.seen);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.phase = match r.u8()? {
-            0 => Phase::SweepStart { iter: r.u64()? },
-            1 => Phase::CellLoad { iter: r.u64()?, i: r.u64()? },
-            2 => Phase::CellStore { iter: r.u64()?, i: r.u64()? },
-            3 => Phase::Jitter { iter: r.u64()? },
-            4 => Phase::RedEnter { iter: r.u64()? },
-            5 => Phase::RedLoad { iter: r.u64()? },
-            6 => Phase::RedStore { iter: r.u64()? },
-            7 => Phase::RedExit { iter: r.u64()? },
-            8 => Phase::AuxEnter { iter: r.u64()?, which: r.u64()? },
-            9 => Phase::AuxLoad { iter: r.u64()?, which: r.u64()? },
-            10 => Phase::AuxStore { iter: r.u64()?, which: r.u64()? },
-            11 => Phase::AuxExit { iter: r.u64()?, which: r.u64()? },
-            12 => Phase::SweepBarrier { iter: r.u64()? },
-            13 => Phase::Finished,
-            tag => return Err(SnapError::BadTag { what: "ocean phase", tag: u64::from(tag) }),
-        };
-        self.seen = r.u64()?;
-        Ok(())
-    }
+    snap_methods!(workload);
 }
 
 /// Build OCEAN on a `scale × scale` grid.

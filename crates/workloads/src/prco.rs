@@ -9,10 +9,9 @@
 //! the paper attributes to QSort's work queue.
 
 use crate::{share, BenchConfig, BenchInstance, DATA_BASE};
-use glocks_cpu::{Action, Workload};
+use glocks_cpu::{snap_methods, Action, Workload};
 use glocks_mem::MemOp;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, LockId};
+use glocks_sim_base::{snap, Addr, LockId};
 
 /// FIFO capacity (slots).
 pub const CAPACITY: u64 = 8;
@@ -51,6 +50,19 @@ enum Phase {
     SaveSum,
     StoreSum,
 }
+snap!(enum Phase {
+    0 => Enter,
+    1 => CheckCount,
+    2 => ReadIndex,
+    3 => Transfer { count },
+    4 => BumpIndex { count, index, item },
+    5 => WriteCount { count },
+    6 => Exit,
+    7 => Backoff,
+    8 => Rest,
+    9 => SaveSum,
+    10 => StoreSum,
+});
 
 struct PrcoLoop {
     tid: usize,
@@ -60,6 +72,7 @@ struct PrcoLoop {
     my_sum: u64,
     phase: Phase,
 }
+snap!(PrcoLoop { phase, quota, next_item, my_sum; skip tid, producer });
 
 impl Workload for PrcoLoop {
     fn next(&mut self, last: u64) -> Action {
@@ -143,57 +156,7 @@ impl Workload for PrcoLoop {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        match self.phase {
-            Phase::Enter => w.u8(0),
-            Phase::CheckCount => w.u8(1),
-            Phase::ReadIndex => w.u8(2),
-            Phase::Transfer { count } => {
-                w.u8(3);
-                w.u64(count);
-            }
-            Phase::BumpIndex { count, index, item } => {
-                w.u8(4);
-                w.u64(count);
-                w.u64(index);
-                w.u64(item);
-            }
-            Phase::WriteCount { count } => {
-                w.u8(5);
-                w.u64(count);
-            }
-            Phase::Exit => w.u8(6),
-            Phase::Backoff => w.u8(7),
-            Phase::Rest => w.u8(8),
-            Phase::SaveSum => w.u8(9),
-            Phase::StoreSum => w.u8(10),
-        }
-        w.u64(self.quota);
-        w.u64(self.next_item);
-        w.u64(self.my_sum);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.phase = match r.u8()? {
-            0 => Phase::Enter,
-            1 => Phase::CheckCount,
-            2 => Phase::ReadIndex,
-            3 => Phase::Transfer { count: r.u64()? },
-            4 => Phase::BumpIndex { count: r.u64()?, index: r.u64()?, item: r.u64()? },
-            5 => Phase::WriteCount { count: r.u64()? },
-            6 => Phase::Exit,
-            7 => Phase::Backoff,
-            8 => Phase::Rest,
-            9 => Phase::SaveSum,
-            10 => Phase::StoreSum,
-            tag => return Err(SnapError::BadTag { what: "prco phase", tag: u64::from(tag) }),
-        };
-        self.quota = r.u64()?;
-        self.next_item = r.u64()?;
-        self.my_sum = r.u64()?;
-        Ok(())
-    }
+    snap_methods!(workload);
 }
 
 /// Build PRCO. Threads with even ids produce; odd ids consume. A single

@@ -12,10 +12,9 @@
 //! momentarily empty" from "sorting finished".
 
 use crate::{BenchConfig, BenchInstance, DATA_BASE};
-use glocks_cpu::{Action, Workload};
+use glocks_cpu::{snap_methods, Action, Workload};
 use glocks_mem::MemOp;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, LockId, SplitMix64};
+use glocks_sim_base::{snap, Addr, LockId, SplitMix64};
 
 /// Segments at or below this length are sorted locally.
 const GRAIN: u64 = 128;
@@ -85,6 +84,34 @@ enum Phase {
     PushExit,
     Finished,
 }
+snap!(enum Phase {
+    0 => PeekSp,
+    1 => PeekPending,
+    2 => PopEnter,
+    3 => PopSp,
+    4 => PopPending,
+    5 => PopRead { sp },
+    6 => PopCommit { task },
+    7 => PopExit { task },
+    8 => Backoff,
+    9 => LeafLoad { lo, hi, i },
+    10 => LeafStore { lo, hi, i },
+    11 => PivotIssue { lo, hi },
+    12 => PivotWait { lo, hi },
+    13 => UpWait { lo, hi, pivot, i, j },
+    14 => DownWait { lo, hi, pivot, i, j, vi },
+    15 => StoreJWait { lo, hi, pivot, i, j, vi },
+    16 => PostSwap { lo, hi, pivot, i, j },
+    17 => PushEnter { t1, t2 },
+    18 => PushSp { t1, t2 },
+    19 => PushSlot1 { t1, t2 },
+    20 => PushSlot2 { t2, sp },
+    21 => PushBumpSp { sp, pushed },
+    22 => AdjPendingLoad { delta },
+    23 => AdjPendingStore { delta },
+    24 => PushExit,
+    25 => Finished,
+});
 
 struct QsortThread {
     phase: Phase,
@@ -93,6 +120,7 @@ struct QsortThread {
     /// Exponential idle-poll backoff (reset on a successful pop).
     backoff: u64,
 }
+snap!(QsortThread { phase, buf, backoff });
 
 impl Workload for QsortThread {
     fn next(&mut self, last: u64) -> Action {
@@ -297,173 +325,7 @@ impl Workload for QsortThread {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        match self.phase {
-            Phase::PeekSp => w.u8(0),
-            Phase::PeekPending => w.u8(1),
-            Phase::PopEnter => w.u8(2),
-            Phase::PopSp => w.u8(3),
-            Phase::PopPending => w.u8(4),
-            Phase::PopRead { sp } => {
-                w.u8(5);
-                w.u64(sp);
-            }
-            Phase::PopCommit { task } => {
-                w.u8(6);
-                w.u64(task);
-            }
-            Phase::PopExit { task } => {
-                w.u8(7);
-                w.u64(task);
-            }
-            Phase::Backoff => w.u8(8),
-            Phase::LeafLoad { lo, hi, i } => {
-                w.u8(9);
-                w.u64(lo);
-                w.u64(hi);
-                w.u64(i);
-            }
-            Phase::LeafStore { lo, hi, i } => {
-                w.u8(10);
-                w.u64(lo);
-                w.u64(hi);
-                w.u64(i);
-            }
-            Phase::PivotIssue { lo, hi } => {
-                w.u8(11);
-                w.u64(lo);
-                w.u64(hi);
-            }
-            Phase::PivotWait { lo, hi } => {
-                w.u8(12);
-                w.u64(lo);
-                w.u64(hi);
-            }
-            Phase::UpWait { lo, hi, pivot, i, j } => {
-                w.u8(13);
-                for v in [lo, hi, pivot, i, j] {
-                    w.u64(v);
-                }
-            }
-            Phase::DownWait { lo, hi, pivot, i, j, vi } => {
-                w.u8(14);
-                for v in [lo, hi, pivot, i, j, vi] {
-                    w.u64(v);
-                }
-            }
-            Phase::StoreJWait { lo, hi, pivot, i, j, vi } => {
-                w.u8(15);
-                for v in [lo, hi, pivot, i, j, vi] {
-                    w.u64(v);
-                }
-            }
-            Phase::PostSwap { lo, hi, pivot, i, j } => {
-                w.u8(16);
-                for v in [lo, hi, pivot, i, j] {
-                    w.u64(v);
-                }
-            }
-            Phase::PushEnter { t1, t2 } => {
-                w.u8(17);
-                w.opt_u64(t1);
-                w.opt_u64(t2);
-            }
-            Phase::PushSp { t1, t2 } => {
-                w.u8(18);
-                w.opt_u64(t1);
-                w.opt_u64(t2);
-            }
-            Phase::PushSlot1 { t1, t2 } => {
-                w.u8(19);
-                w.u64(t1);
-                w.opt_u64(t2);
-            }
-            Phase::PushSlot2 { t2, sp } => {
-                w.u8(20);
-                w.u64(t2);
-                w.u64(sp);
-            }
-            Phase::PushBumpSp { sp, pushed } => {
-                w.u8(21);
-                w.u64(sp);
-                w.u64(pushed);
-            }
-            Phase::AdjPendingLoad { delta } => {
-                w.u8(22);
-                w.i64(delta);
-            }
-            Phase::AdjPendingStore { delta } => {
-                w.u8(23);
-                w.i64(delta);
-            }
-            Phase::PushExit => w.u8(24),
-            Phase::Finished => w.u8(25),
-        }
-        w.u64_slice(&self.buf);
-        w.u64(self.backoff);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.phase = match r.u8()? {
-            0 => Phase::PeekSp,
-            1 => Phase::PeekPending,
-            2 => Phase::PopEnter,
-            3 => Phase::PopSp,
-            4 => Phase::PopPending,
-            5 => Phase::PopRead { sp: r.u64()? },
-            6 => Phase::PopCommit { task: r.u64()? },
-            7 => Phase::PopExit { task: r.u64()? },
-            8 => Phase::Backoff,
-            9 => Phase::LeafLoad { lo: r.u64()?, hi: r.u64()?, i: r.u64()? },
-            10 => Phase::LeafStore { lo: r.u64()?, hi: r.u64()?, i: r.u64()? },
-            11 => Phase::PivotIssue { lo: r.u64()?, hi: r.u64()? },
-            12 => Phase::PivotWait { lo: r.u64()?, hi: r.u64()? },
-            13 => Phase::UpWait {
-                lo: r.u64()?,
-                hi: r.u64()?,
-                pivot: r.u64()?,
-                i: r.u64()?,
-                j: r.u64()?,
-            },
-            14 => Phase::DownWait {
-                lo: r.u64()?,
-                hi: r.u64()?,
-                pivot: r.u64()?,
-                i: r.u64()?,
-                j: r.u64()?,
-                vi: r.u64()?,
-            },
-            15 => Phase::StoreJWait {
-                lo: r.u64()?,
-                hi: r.u64()?,
-                pivot: r.u64()?,
-                i: r.u64()?,
-                j: r.u64()?,
-                vi: r.u64()?,
-            },
-            16 => Phase::PostSwap {
-                lo: r.u64()?,
-                hi: r.u64()?,
-                pivot: r.u64()?,
-                i: r.u64()?,
-                j: r.u64()?,
-            },
-            17 => Phase::PushEnter { t1: r.opt_u64()?, t2: r.opt_u64()? },
-            18 => Phase::PushSp { t1: r.opt_u64()?, t2: r.opt_u64()? },
-            19 => Phase::PushSlot1 { t1: r.u64()?, t2: r.opt_u64()? },
-            20 => Phase::PushSlot2 { t2: r.u64()?, sp: r.u64()? },
-            21 => Phase::PushBumpSp { sp: r.u64()?, pushed: r.u64()? },
-            22 => Phase::AdjPendingLoad { delta: r.i64()? },
-            23 => Phase::AdjPendingStore { delta: r.i64()? },
-            24 => Phase::PushExit,
-            25 => Phase::Finished,
-            tag => return Err(SnapError::BadTag { what: "qsort phase", tag: u64::from(tag) }),
-        };
-        self.buf = r.u64_vec()?;
-        self.backoff = r.u64()?;
-        Ok(())
-    }
+    snap_methods!(workload);
 }
 
 /// Build QSORT over `scale` pseudo-random integers.

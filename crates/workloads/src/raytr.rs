@@ -14,10 +14,9 @@
 //! (Figures 1 and 8), with Busy/Memory dominating.
 
 use crate::{BenchConfig, BenchInstance, DATA_BASE};
-use glocks_cpu::{Action, Workload};
+use glocks_cpu::{snap_methods, Action, Workload};
 use glocks_mem::MemOp;
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::{Addr, LockId, SplitMix64};
+use glocks_sim_base::{snap, Addr, LockId, SplitMix64};
 
 /// Average per-ray render cost in instructions (plus jitter below).
 const RENDER_BASE: u64 = 20000;
@@ -63,6 +62,23 @@ enum Phase {
     FinalBarrier,
     Finished,
 }
+snap!(enum Phase {
+    0 => GrabEnter,
+    1 => GrabLoad,
+    2 => GrabStore,
+    3 => GrabExit { task },
+    4 => Render { task },
+    5 => Scratch { task, k },
+    6 => RayIdLoad { task },
+    7 => RayIdStore { task },
+    8 => RayIdExit { task },
+    9 => StatEnter { task },
+    10 => StatLoad { task },
+    11 => StatStore { task },
+    12 => StatExit { task },
+    13 => FinalBarrier,
+    14 => Finished,
+});
 
 struct RaytrThread {
     tid: usize,
@@ -71,6 +87,7 @@ struct RaytrThread {
     phase: Phase,
     seen: u64,
 }
+snap!(RaytrThread { phase, seen; skip tid, n_rays, seed });
 
 impl RaytrThread {
     fn stat_lock_of(task: u64) -> LockId {
@@ -176,81 +193,7 @@ impl Workload for RaytrThread {
         }
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
-        match self.phase {
-            Phase::GrabEnter => w.u8(0),
-            Phase::GrabLoad => w.u8(1),
-            Phase::GrabStore => w.u8(2),
-            Phase::GrabExit { task } => {
-                w.u8(3);
-                w.u64(task);
-            }
-            Phase::Render { task } => {
-                w.u8(4);
-                w.u64(task);
-            }
-            Phase::Scratch { task, k } => {
-                w.u8(5);
-                w.u64(task);
-                w.u64(k);
-            }
-            Phase::RayIdLoad { task } => {
-                w.u8(6);
-                w.u64(task);
-            }
-            Phase::RayIdStore { task } => {
-                w.u8(7);
-                w.u64(task);
-            }
-            Phase::RayIdExit { task } => {
-                w.u8(8);
-                w.u64(task);
-            }
-            Phase::StatEnter { task } => {
-                w.u8(9);
-                w.u64(task);
-            }
-            Phase::StatLoad { task } => {
-                w.u8(10);
-                w.u64(task);
-            }
-            Phase::StatStore { task } => {
-                w.u8(11);
-                w.u64(task);
-            }
-            Phase::StatExit { task } => {
-                w.u8(12);
-                w.u64(task);
-            }
-            Phase::FinalBarrier => w.u8(13),
-            Phase::Finished => w.u8(14),
-        }
-        w.u64(self.seen);
-        Ok(())
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.phase = match r.u8()? {
-            0 => Phase::GrabEnter,
-            1 => Phase::GrabLoad,
-            2 => Phase::GrabStore,
-            3 => Phase::GrabExit { task: r.u64()? },
-            4 => Phase::Render { task: r.u64()? },
-            5 => Phase::Scratch { task: r.u64()?, k: r.u64()? },
-            6 => Phase::RayIdLoad { task: r.u64()? },
-            7 => Phase::RayIdStore { task: r.u64()? },
-            8 => Phase::RayIdExit { task: r.u64()? },
-            9 => Phase::StatEnter { task: r.u64()? },
-            10 => Phase::StatLoad { task: r.u64()? },
-            11 => Phase::StatStore { task: r.u64()? },
-            12 => Phase::StatExit { task: r.u64()? },
-            13 => Phase::FinalBarrier,
-            14 => Phase::Finished,
-            tag => return Err(SnapError::BadTag { what: "raytr phase", tag: u64::from(tag) }),
-        };
-        self.seen = r.u64()?;
-        Ok(())
-    }
+    snap_methods!(workload);
 }
 
 /// Build RAYTR with `scale` rays.
