@@ -23,11 +23,12 @@
 //! --resume               if the snapshot file exists, resume from it
 //!                        instead of starting at cycle 0
 //! --watchdog-cycles N    no-forward-progress window override
-//! --timeout-secs N       wall-clock budget (SimError::WallClockExceeded)
+//! --timeout-secs N       wall-clock budget, N >= 1 (SimError::WallClockExceeded)
 //! --dense                tick every cycle instead of the event-driven
 //!                        idle-skip scheduler (byte-identical results)
 //! --die-after-checkpoints N   self-test hook: exit(42) right after the
 //!                        Nth checkpoint hits disk, simulating a crash
+//!                        (N >= 1; needs --checkpoint-every)
 //!
 //! The stats dump lands at DIR/<id>.json and is byte-identical whether
 //! the run went straight through or was interrupted and resumed — that is
@@ -174,12 +175,21 @@ fn parse_cli() -> Cli {
                 i += 1;
                 cli.timeout_secs =
                     Some(need(&args, i, "--timeout-secs").parse().unwrap_or_else(|_| usage()));
+                if cli.timeout_secs == Some(0) {
+                    eprintln!("--timeout-secs must be at least 1");
+                    usage()
+                }
             }
             "--die-after-checkpoints" => {
                 i += 1;
                 cli.die_after = Some(
                     need(&args, i, "--die-after-checkpoints").parse().unwrap_or_else(|_| usage()),
                 );
+                // Checkpoints are counted from #1.
+                if cli.die_after == Some(0) {
+                    eprintln!("--die-after-checkpoints must be at least 1");
+                    usage()
+                }
             }
             "--help" | "-h" => usage(),
             other => {
@@ -197,6 +207,10 @@ fn parse_cli() -> Cli {
         eprintln!("--lock is required");
         usage()
     });
+    if cli.die_after.is_some() && cli.checkpoint_every == 0 {
+        eprintln!("--die-after-checkpoints needs --checkpoint-every N with N >= 1");
+        usage()
+    }
     cli
 }
 

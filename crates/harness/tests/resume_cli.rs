@@ -100,16 +100,34 @@ fn snapshot_refuses_a_differently_shaped_machine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A zero-core machine is rejected at parse time with the usage line,
-/// before anything is built.
+/// Flag values that could never take effect are rejected at parse time
+/// with the usage line, before anything is built: a zero-core machine, a
+/// crash after checkpoint #0 (the first is #1) or without checkpoints, and
+/// a zero wall-clock budget.
 #[test]
 fn zero_threads_is_a_usage_error() {
-    let out = bin()
-        .args(["--bench", "SCTR", "--lock", "GLock", "--threads", "0", "--quick"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--threads must be at least 1"), "stderr: {stderr}");
-    assert!(stderr.contains("usage: glocks-run"), "stderr: {stderr}");
+    let cases: [(&[&str], &str); 5] = [
+        (&["--threads", "0"], "--threads must be at least 1"),
+        (&["--die-after-checkpoints", "1"], "--die-after-checkpoints needs --checkpoint-every"),
+        (
+            &["--checkpoint-every", "0", "--die-after-checkpoints", "1"],
+            "--die-after-checkpoints needs --checkpoint-every",
+        ),
+        (
+            &["--checkpoint-every", "3000", "--die-after-checkpoints", "0"],
+            "--die-after-checkpoints must be at least 1",
+        ),
+        (&["--timeout-secs", "0"], "--timeout-secs must be at least 1"),
+    ];
+    for (extra, message) in cases {
+        let out = bin()
+            .args(["--bench", "SCTR", "--lock", "GLock", "--threads", "4", "--quick"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{extra:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{extra:?}: stderr: {stderr}");
+        assert!(stderr.contains("usage: glocks-run"), "{extra:?}: stderr: {stderr}");
+    }
 }

@@ -48,7 +48,9 @@ impl<S> CacheArray<S> {
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
         assert!(ways >= 1);
         CacheArray {
-            sets: (0..n_sets).map(|_| Vec::with_capacity(ways)).collect(),
+            // A set allocates on its first insert: a run touches few of a
+            // machine's sets, so its memory follows the working set.
+            sets: (0..n_sets).map(|_| Vec::new()).collect(),
             ways,
             clock: 0,
         }

@@ -128,6 +128,9 @@ impl MemorySystem {
         // 2. Deliver arrived packets to their tile's L1, directory, NIC
         //    or lock manager.
         for t in 0..self.dirs.len() {
+            if !self.net.has_deliveries(TileId(t as u16)) {
+                continue;
+            }
             self.drain_buf.clear();
             self.net.drain(TileId(t as u16), now, &mut self.drain_buf);
             for i in 0..self.drain_buf.len() {
@@ -168,6 +171,9 @@ impl MemorySystem {
             self.inject_mp(TileId(core.0), dst, msg, now);
         }
         for t in 0..self.mp_managers.len() {
+            if self.mp_managers[t].is_quiescent() {
+                continue;
+            }
             self.mp_managers[t].tick(now);
             self.mp_out_buf.clear();
             self.mp_managers[t].take_outgoing(&mut self.mp_out_buf);

@@ -14,6 +14,12 @@ pub struct MeshNoc<T> {
     mesh: Mesh2D,
     cfg: NocConfig,
     routers: Vec<Router<T>>,
+    /// Activity set, one bit per router: a clear bit means the router's
+    /// five input queues are empty. Every enqueue sets the bit, `tick`
+    /// clears it when it finds the router empty, and a new fabric starts
+    /// all-set (so a machine rebuilt to resume a checkpoint re-derives it
+    /// on its first tick instead of saving it).
+    active: Vec<u64>,
     /// Packets ejected at each tile, eligible once `ready_at` is reached.
     delivered: Vec<VecDeque<(Cycle, Packet<T>)>>,
     stats: TrafficStats,
@@ -37,7 +43,7 @@ pub struct MeshNoc<T> {
 glocks_sim_base::snap!(MeshNoc<T> mark "noc" {
     routers as fixed, delivered as each, stats, in_flight, faults as present, dropped,
     dead_at as fixed, scheduled_kills;
-    skip mesh, cfg, lat_hists, queue_series
+    skip mesh, cfg, active, lat_hists, queue_series
 });
 
 fn class_name(c: TrafficClass) -> &'static str {
@@ -62,6 +68,9 @@ impl<T> MeshNoc<T> {
             mesh,
             cfg,
             routers: (0..mesh.len()).map(|_| Router::new()).collect(),
+            active: (0..mesh.len().div_ceil(64))
+                .map(|w| u64::MAX >> (64 * (w + 1)).saturating_sub(mesh.len()))
+                .collect(),
             delivered: (0..mesh.len()).map(|_| VecDeque::new()).collect(),
             stats: TrafficStats::default(),
             in_flight: 0,
@@ -169,7 +178,9 @@ impl<T> MeshNoc<T> {
             return;
         }
         let ready = now + self.cfg.router_latency + extra;
-        self.routers[pkt.src.index()].in_q[P_LOCAL].push_back(Queued { pkt, ready_at: ready });
+        let r = pkt.src.index();
+        self.routers[r].in_q[P_LOCAL].push_back(Queued { pkt, ready_at: ready });
+        self.active[r / 64] |= 1 << (r % 64);
     }
 
     /// Output port at router `at` for a packet heading to `dst`.
@@ -233,9 +244,18 @@ impl<T> MeshNoc<T> {
                 gstats::push(sid, self.routers[r].occupancy() as f64);
             }
         }
-        // Per router: arbitrate each output port among ready head packets.
-        for r in 0..self.routers.len() {
-            if self.router_is_dead(r) {
+        // Per router in the activity set, in ascending index (the order of
+        // a walk over every router, so arbitration and round-robin pointers
+        // evolve the same): arbitrate each output port among ready head
+        // packets. A forwarded packet is ready one cycle later at the
+        // earliest, so a router that joins the set during the walk has
+        // nothing to send until the next cycle.
+        let mut from = 0;
+        while let Some(r) = self.next_active(from) {
+            from = r + 1;
+            // A dead router was purged at its kill and receives nothing.
+            if self.routers[r].occupancy() == 0 || self.router_is_dead(r) {
+                self.active[r / 64] &= !(1 << (r % 64));
                 continue;
             }
             let tile = TileId::from(r);
@@ -247,6 +267,10 @@ impl<T> MeshNoc<T> {
                         wants[p] = Some(self.out_port(tile, q.pkt.dst));
                     }
                 }
+            }
+            // An arbitration with no contender changes no state.
+            if wants == [None; N_PORTS] {
+                continue;
             }
             for out in 0..N_PORTS {
                 if self.routers[r].out_free_at[out] > now {
@@ -279,9 +303,26 @@ impl<T> MeshNoc<T> {
                         now + ser + self.cfg.link_latency + self.cfg.router_latency;
                     self.routers[next.index()].in_q[Self::opposite(out)]
                         .push_back(Queued { pkt: q.pkt, ready_at: arrive });
+                    self.active[next.index() / 64] |= 1 << (next.index() % 64);
                 }
             }
         }
+    }
+
+    /// The first router at or after index `from` in the activity set.
+    fn next_active(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.active.get(w)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.active.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// Does `tile`'s delivery buffer hold a packet, ready or not?
+    pub fn has_deliveries(&self, tile: TileId) -> bool {
+        !self.delivered[tile.index()].is_empty()
     }
 
     /// Pop all packets delivered at `tile` that are ready at `now`.

@@ -1,7 +1,6 @@
 //! Statistics containers used throughout the simulator.
 
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
-use std::collections::BTreeMap;
 
 /// A monotone event counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -111,28 +110,46 @@ impl Summary {
 
 /// A keyed bundle of counters with stable (sorted) iteration order, used for
 /// ad-hoc per-component stats dumps.
+///
+/// The entries sit in a key-sorted `Vec`. [`CounterSet::add`] looks for its
+/// key by address first, so a caller passing a string literal bumps its
+/// counter without comparing bytes, and only then by content.
 #[derive(Clone, Debug, Default)]
 pub struct CounterSet {
-    counters: BTreeMap<&'static str, u64>,
+    counters: Vec<(&'static str, u64)>,
 }
 
 impl CounterSet {
     pub fn add(&mut self, key: &'static str, n: u64) {
-        *self.counters.entry(key).or_insert(0) += n;
+        if let Some(e) = self.counters.iter_mut().find(|e| std::ptr::eq(e.0, key)) {
+            e.1 += n;
+            return;
+        }
+        match self.find(key) {
+            // Equal content at another address, e.g. a key interned by
+            // `load`: adopt the caller's so its next add takes the fast path.
+            Ok(i) => self.counters[i] = (key, self.counters[i].1 + n),
+            Err(i) => self.counters.insert(i, (key, n)),
+        }
     }
 
     pub fn get(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+        self.find(key).map_or(0, |i| self.counters[i].1)
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+        self.counters.iter().copied()
     }
 
     pub fn merge(&mut self, other: &CounterSet) {
         for (k, v) in other.iter() {
             self.add(k, v);
         }
+    }
+
+    /// Index of `key`'s entry, or where it would be inserted.
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.counters.binary_search_by(|e| e.0.cmp(key))
     }
 }
 
@@ -143,9 +160,9 @@ impl CounterSet {
 impl Snap for CounterSet {
     fn save(&self, w: &mut SnapWriter) {
         w.usize(self.counters.len());
-        for (k, v) in &self.counters {
+        for (k, v) in self.iter() {
             w.str(k);
-            w.u64(*v);
+            w.u64(v);
         }
     }
 
@@ -154,7 +171,11 @@ impl Snap for CounterSet {
         self.counters.clear();
         for _ in 0..n {
             let key: &'static str = Box::leak(r.str()?.into_boxed_str());
-            self.counters.insert(key, r.u64()?);
+            let v = r.u64()?;
+            match self.find(key) {
+                Ok(i) => self.counters[i].1 = v,
+                Err(i) => self.counters.insert(i, (key, v)),
+            }
         }
         Ok(())
     }
@@ -226,5 +247,36 @@ mod tests {
         assert_eq!(keys, vec!["a", "z"]);
         assert_eq!(a.get("z"), 4);
         assert_eq!(a.get("missing"), 0);
+    }
+
+    /// A key equal in content to a literal but at another address, as
+    /// `load` interns them, bumps the literal's entry instead of adding a
+    /// second one, and a resumed set saves the bytes of one never saved.
+    #[test]
+    fn counter_set_matches_interned_keys_by_content() {
+        let interned: &'static str = Box::leak(String::from("l1_hit").into_boxed_str());
+        let mut a = CounterSet::default();
+        a.add("l1_miss", 1);
+        a.add("l1_hit", 2);
+        assert!(!std::ptr::eq(interned, "l1_hit"));
+        a.add(interned, 3);
+        a.add("l1_access", 1);
+        assert_eq!(
+            a.iter().collect::<Vec<_>>(),
+            [("l1_access", 1), ("l1_hit", 5), ("l1_miss", 1)]
+        );
+
+        let save = |c: &CounterSet| {
+            let mut w = SnapWriter::new();
+            c.save(&mut w);
+            w.into_bytes()
+        };
+        let mut resumed = CounterSet::default();
+        resumed.load(&mut SnapReader::new(&save(&a))).unwrap();
+        resumed.add("l1_hit", 1);
+        resumed.add("l1_fill", 1);
+        a.add("l1_hit", 1);
+        a.add("l1_fill", 1);
+        assert_eq!(save(&resumed), save(&a));
     }
 }
