@@ -9,39 +9,42 @@
 //! * hierarchical vs flat GLock networks, including CMPs beyond the
 //!   49-core flat limit.
 
-use crate::exp::ExpOptions;
+use crate::exp::{self, ExpOptions, Finished, RunSpec};
 use glocks_locks::LockAlgorithm;
-use glocks_sim::{LockMapping, Simulation, SimulationOptions};
+use glocks_sim::{LockMapping, SimReport, SimulationOptions};
 use glocks_sim_base::table::TextTable;
 use glocks_sim_base::CmpConfig;
 use glocks_workloads::{BenchConfig, BenchKind};
 
-/// One ablation cell. A wedged run is logged and comes back as `None`, so
-/// the rest of the sweep still renders.
-fn run_once(cfg: &CmpConfig, bench: &BenchConfig, mapping: &LockMapping, mut opts: SimulationOptions) -> Option<u64> {
-    let inst = bench.build();
-    let cfg = crate::exp::apply_machine_overrides(bench.threads, *cfg, &mut opts);
-    let session = crate::exp::open_stats_session(
-        &format!("{}_{}_{}t", bench.kind.name(), mapping.label(), bench.threads),
-        &[("bench", bench.kind.name()), ("lock", mapping.label())],
-    );
-    let sim = Simulation::new(&cfg, mapping, inst.workloads, &inst.init, opts);
-    match sim.run() {
-        Ok((report, mem)) => {
-            (inst.verify)(mem.store()).expect("ablation run must verify");
-            if let Some(s) = session {
-                s.finish(&report);
-            }
-            Some(report.cycles)
-        }
-        Err(e) => {
-            if let Some(s) = session {
-                s.abort();
-            }
-            eprintln!("[ablation] {:?} with {} wedged ({}); skipping\n{e}", bench.kind, mapping.label(), e.kind());
-            None
-        }
-    }
+/// One ablation run of `bench`, its dump tagged `tag` and its meta naming
+/// the benchmark and the lock. A wedged run is logged and comes back as
+/// `None`, so the rest of the sweep still renders.
+fn run_tagged(
+    opts: &ExpOptions,
+    tag: String,
+    bench: &BenchConfig,
+    cfg: CmpConfig,
+    mapping: LockMapping,
+    options: SimulationOptions,
+) -> Option<SimReport> {
+    let meta = vec![
+        ("bench", bench.kind.name().to_string()),
+        ("lock", mapping.label().to_string()),
+    ];
+    let spec = RunSpec { tag, meta, cfg, mapping, options };
+    exp::try_run(opts, spec, || bench.build()).map(Finished::verified)
+}
+
+/// One ablation cell, tagged like a standard benchmark run.
+fn run_once(
+    opts: &ExpOptions,
+    cfg: CmpConfig,
+    bench: &BenchConfig,
+    mapping: LockMapping,
+    options: SimulationOptions,
+) -> Option<u64> {
+    let tag = format!("{}_{}_{}t", bench.kind.name(), mapping.label(), bench.threads);
+    run_tagged(opts, tag, bench, cfg, mapping, options).map(|r| r.cycles)
 }
 
 /// Render an ablation cell, keeping wedged configurations visible.
@@ -78,7 +81,7 @@ pub fn algorithm_sweep(opts: &ExpOptions) -> TextTable {
             let bench = opts.bench_on(BenchKind::Sctr, n);
             let cfg = CmpConfig::paper_baseline().with_cores(n);
             let mapping = LockMapping::uniform(algo, 1);
-            let cycles = run_once(&cfg, &bench, &mapping, SimulationOptions::default());
+            let cycles = run_once(opts, cfg, &bench, mapping, SimulationOptions::default());
             row.push(cell(cycles));
         }
         t.row(row);
@@ -96,7 +99,7 @@ pub fn gline_latency_sweep(opts: &ExpOptions) -> TextTable {
         cfg.glocks.gline_latency = lat;
         let bench = opts.bench(BenchKind::Sctr);
         let mapping = LockMapping::uniform(LockAlgorithm::Glock, 1);
-        let Some(cycles) = run_once(&cfg, &bench, &mapping, SimulationOptions::default()) else {
+        let Some(cycles) = run_once(opts, cfg, &bench, mapping, SimulationOptions::default()) else {
             continue;
         };
         if lat == 1 {
@@ -119,16 +122,16 @@ pub fn hierarchy_study(opts: &ExpOptions) -> TextTable {
     let bench = opts.bench(BenchKind::Sctr);
     let cfg = CmpConfig::paper_baseline().with_cores(opts.threads);
     let mapping = LockMapping::uniform(LockAlgorithm::Glock, 1);
-    let flat = run_once(&cfg, &bench, &mapping, SimulationOptions::default());
+    let flat = run_once(opts, cfg, &bench, mapping.clone(), SimulationOptions::default());
     t.row(["flat".to_string(), opts.threads.to_string(), cell(flat)]);
     let o = SimulationOptions { force_hierarchical_glocks: true, ..Default::default() };
-    let hier = run_once(&cfg, &bench, &mapping, o);
+    let hier = run_once(opts, cfg, &bench, mapping.clone(), o);
     t.row(["hierarchical".to_string(), opts.threads.to_string(), cell(hier)]);
     // Beyond the flat limit: 64 cores (only reachable hierarchically).
     let big = 64;
     let bench64 = opts.bench_on(BenchKind::Sctr, big);
     let cfg64 = CmpConfig::paper_baseline().with_cores(big);
-    let c64 = run_once(&cfg64, &bench64, &mapping, SimulationOptions::default());
+    let c64 = run_once(opts, cfg64, &bench64, mapping, SimulationOptions::default());
     t.row(["hierarchical".to_string(), big.to_string(), cell(c64)]);
     t
 }
@@ -146,28 +149,11 @@ pub fn fairness_study(opts: &ExpOptions) -> TextTable {
         let bench = opts.bench(BenchKind::Sctr);
         let cfg = CmpConfig::paper_baseline().with_cores(opts.threads);
         let mapping = LockMapping::uniform(algo, 1);
-        let inst = bench.build();
-        let session = crate::exp::open_stats_session(
-            &format!("fairness_{}_{}t", algo.name(), bench.threads),
-            &[("bench", bench.kind.name()), ("lock", algo.name())],
-        );
-        let mut fair_opts = SimulationOptions::default();
-        let cfg = crate::exp::apply_machine_overrides(bench.threads, cfg, &mut fair_opts);
-        let sim = Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, fair_opts);
-        let (report, mem) = match sim.run() {
-            Ok(ok) => ok,
-            Err(e) => {
-                if let Some(s) = session {
-                    s.abort();
-                }
-                eprintln!("[ablation] fairness run under {} wedged ({}); skipping\n{e}", algo.name(), e.kind());
-                continue;
-            }
+        let tag = format!("fairness_{}_{}t", algo.name(), bench.threads);
+        let Some(report) = run_tagged(opts, tag, &bench, cfg, mapping, SimulationOptions::default())
+        else {
+            continue;
         };
-        (inst.verify)(mem.store()).expect("fairness run must verify");
-        if let Some(s) = session {
-            s.finish(&report);
-        }
         // Per-thread acquisition counts are fixed by the workload (each
         // thread performs its share), so fairness shows in the wait time.
         t.row([
@@ -189,33 +175,22 @@ pub fn dynamic_sharing_study(opts: &ExpOptions) -> TextTable {
     .header(["configuration", "cycles", "hw acquires", "spills", "binds"]);
     let bench = opts.bench(BenchKind::Raytr);
     let cfg = CmpConfig::paper_baseline().with_cores(opts.threads);
-    let run = |tag: &str, mapping: &LockMapping| {
-        let inst = bench.build();
-        let session = crate::exp::open_stats_session(
-            &format!("sharing_{tag}_{}t", bench.threads),
-            &[("bench", bench.kind.name()), ("lock", mapping.label())],
-        );
-        let mut share_opts = SimulationOptions::default();
-        let cfg = crate::exp::apply_machine_overrides(bench.threads, cfg, &mut share_opts);
-        let sim = Simulation::new(&cfg, mapping, inst.workloads, &inst.init, share_opts);
-        let (r, mem) = sim.run().expect("dynamic-sharing ablation wedged");
-        (inst.verify)(mem.store()).expect("verify");
-        if let Some(s) = session {
-            s.finish(&r);
-        }
-        r
+    let run = |tag: &str, mapping: LockMapping| {
+        let tag = format!("sharing_{tag}_{}t", bench.threads);
+        run_tagged(opts, tag, &bench, cfg, mapping, SimulationOptions::default())
+            .expect("dynamic-sharing ablation wedged")
     };
     // MCS hybrid baseline.
     let mapping = LockMapping::hybrid(&bench.hc_locks(), LockAlgorithm::Mcs, bench.n_locks());
-    let r = run("mcs-hybrid", &mapping);
+    let r = run("mcs-hybrid", mapping);
     t.row(["MCS hybrid".to_string(), r.cycles.to_string(), "-".into(), "-".into(), "-".into()]);
     // Static GLocks (the paper's configuration: programmer names the HC locks).
     let mapping = LockMapping::hybrid(&bench.hc_locks(), LockAlgorithm::Glock, bench.n_locks());
-    let r = run("static-glocks", &mapping);
+    let r = run("static-glocks", mapping);
     t.row(["static GLocks".to_string(), r.cycles.to_string(), "-".into(), "-".into(), "-".into()]);
     // Dynamic sharing: every lock uses the pool.
     let mapping = LockMapping::uniform(LockAlgorithm::DynamicGlock, bench.n_locks());
-    let r = run("dynamic-glocks", &mapping);
+    let r = run("dynamic-glocks", mapping);
     let p = r.pool.expect("pool stats");
     t.row([
         "dynamic GLocks".to_string(),
@@ -239,9 +214,9 @@ pub fn barrier_study(opts: &ExpOptions) -> TextTable {
         let bench = opts.bench(kind);
         let cfg = CmpConfig::paper_baseline().with_cores(opts.threads);
         let mapping = LockMapping::hybrid(&bench.hc_locks(), LockAlgorithm::Glock, bench.n_locks());
-        let sw = run_once(&cfg, &bench, &mapping, SimulationOptions::default());
+        let sw = run_once(opts, cfg, &bench, mapping.clone(), SimulationOptions::default());
         let hw_opts = SimulationOptions { hardware_barrier: true, ..Default::default() };
-        let hw = run_once(&cfg, &bench, &mapping, hw_opts);
+        let hw = run_once(opts, cfg, &bench, mapping, hw_opts);
         let reduction = match (sw, hw) {
             (Some(s), Some(h)) => format!("{:.1}%", (1.0 - h as f64 / s as f64) * 100.0),
             _ => "-".to_string(),
@@ -275,21 +250,12 @@ pub fn energy_sensitivity(opts: &ExpOptions) -> TextTable {
     };
     for (name, model) in variants {
         let run = |algo: LockAlgorithm| {
-            let inst = bench.build();
-            let mut opts_sim = SimulationOptions { energy_model: model, ..Default::default() };
-            let cfg = crate::exp::apply_machine_overrides(bench.threads, cfg, &mut opts_sim);
+            let tag = format!("energy_{name}_{}_{}t", algo.name(), bench.threads);
+            let options = SimulationOptions { energy_model: model, ..Default::default() };
             let mapping = LockMapping::uniform(algo, bench.n_locks());
-            let session = crate::exp::open_stats_session(
-                &format!("energy_{name}_{}_{}t", algo.name(), bench.threads),
-                &[("bench", bench.kind.name()), ("lock", algo.name())],
-            );
-            let sim = Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, opts_sim);
-            let (r, mem) = sim.run().expect("energy-sensitivity ablation wedged");
-            (inst.verify)(mem.store()).expect("verify");
-            if let Some(s) = session {
-                s.finish(&r);
-            }
-            r.ed2p
+            run_tagged(opts, tag, &bench, cfg, mapping, options)
+                .expect("energy-sensitivity ablation wedged")
+                .ed2p
         };
         let ratio = run(LockAlgorithm::Glock) / run(LockAlgorithm::Mcs);
         t.row([name.to_string(), format!("{ratio:.3}")]);
@@ -302,7 +268,7 @@ mod tests {
     use super::*;
 
     fn quick() -> ExpOptions {
-        ExpOptions { quick: true, threads: 8 }
+        ExpOptions { quick: true, threads: 8, ..Default::default() }
     }
 
     #[test]

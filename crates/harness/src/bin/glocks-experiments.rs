@@ -24,14 +24,20 @@
 //!                    BENCH_<experiment>.json self-profile per experiment
 //! --chrome-trace F   drain the event-trace ring of every run into one
 //!                    chrome://tracing / Perfetto JSON file
-//! --jobs N           run selected experiments on N worker threads
-//!                    (stats and traces are thread-local, so runs never mix)
+//! --jobs N           run selected experiments on N worker threads (each
+//!                    experiment gets its own options, dumps and BENCH
+//!                    records; only the simulator's stats registry and
+//!                    trace ring are per worker thread, so runs never mix)
 //! --journal FILE     append every run-state transition to a JSONL journal
 //! --resume           skip experiments whose journal row is already done
-//! --timeout-secs N   per-run wall-clock budget; an overstaying run comes
-//!                    back as a transient wedge and is retried
+//! --timeout-secs N   per-run wall-clock budget (N >= 1); a run that
+//!                    overstays ends its experiment's attempt as a
+//!                    transient wedge, which is retried
 //! --retries N        retries for transient wedges (default 2)
 //! --backoff-ms N     base backoff between retries, doubling per attempt
+//!
+//! `all` (the default) stands for the 14 paper experiments, in place: other
+//! names may come before or after it, and each experiment runs once.
 //!
 //! Each experiment runs under catch_unwind: a panicking configuration is
 //! recorded as a `failed` journal row and the rest of the sweep proceeds.
@@ -58,7 +64,9 @@
 use glocks_harness::{
     ablation, chaos,
     exp::{self, ExpOptions},
-    faults, fig1, fig10, fig7, fig8, fig9, fuzz, multiprog, scale, service,
+    faults, fig1, fig10, fig7, fig8, fig9, fuzz,
+    journal::RunError,
+    multiprog, scale, service,
     sweep::{self, RunOutput, SweepConfig},
     table1, table2, table3, table4,
 };
@@ -75,6 +83,12 @@ const TRACE_CAP: usize = 1 << 16;
 const EXPERIMENTS: [&str; 18] = [
     "all", "fig1", "fig7", "fig8", "fig9", "fig10", "table1", "table2", "table3", "table4",
     "ablations", "multiprog", "faults", "chaos", "service", "scale", "stats", "fuzz",
+];
+
+/// What `all` stands for, in run order.
+const PAPER_SET: [&str; 14] = [
+    "table1", "table2", "table3", "fig1", "fig7", "fig8", "table4", "fig9", "fig10",
+    "ablations", "multiprog", "faults", "chaos", "service",
 ];
 
 fn usage_line() -> String {
@@ -110,17 +124,18 @@ fn number<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str) -> T
 }
 
 struct Cli {
-    opts: ExpOptions,
-    csv_dir: Option<String>,
-    stats_dir: Option<String>,
-    chrome_trace: Option<String>,
-    jobs: usize,
-    watchdog: Option<u64>,
+    quick: bool,
+    threads: usize,
     mesh: Option<glocks_sim_base::Mesh2D>,
     dense: bool,
+    watchdog: Option<u64>,
+    timeout_secs: Option<u64>,
+    stats_dir: Option<String>,
+    csv_dir: Option<String>,
+    chrome_trace: Option<String>,
+    jobs: usize,
     journal: Option<PathBuf>,
     resume: bool,
-    timeout_secs: Option<u64>,
     retries: u32,
     backoff_ms: u64,
     inject_panic: Option<String>,
@@ -145,21 +160,9 @@ fn write_csv(dir: &Option<String>, name: &str, table: &glocks_sim_base::table::T
 /// Run one experiment, returning everything it would have printed to stdout.
 /// Output is captured (rather than streamed) so `--jobs` workers never
 /// interleave lines; the caller prints results in selection order.
-fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
-    let opts = &cli.opts;
+fn run_one(name: &str, opts: &ExpOptions, cli: &Cli) -> String {
     let csv_dir = &cli.csv_dir;
-    if let Some(dir) = &cli.stats_dir {
-        exp::set_stats_dir(Some(dir));
-        exp::set_stats_context(name);
-    }
-    // Thread-local, so these must be applied here (inside the worker
-    // thread under `--jobs`), not once in main.
-    exp::set_watchdog_cycles(cli.watchdog);
-    exp::set_mesh_override(cli.mesh);
-    exp::set_idle_skip(if cli.dense { Some(false) } else { None });
-    if cli.chrome_trace.is_some() {
-        trace::enable(TraceMask::ALL, TRACE_CAP);
-    }
+    let fail = |kind: &str, detail: &str| opts.report(RunError::failed(kind, detail));
     let mut out = String::new();
     match name {
         "table1" => {
@@ -223,15 +226,14 @@ fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
             write_csv(csv_dir, "fig10", &t);
         }
         "stats" => {
-            use glocks_harness::exp::{glock_mapping, try_run_bench};
             use glocks_workloads::BenchKind;
             for kind in BenchKind::ALL {
                 let bench = opts.bench(kind);
-                let Some(r) = try_run_bench(&bench, &glock_mapping(&bench)) else {
+                let Some(r) = exp::try_run_bench(opts, &bench, &exp::glock_mapping(&bench)) else {
                     continue;
                 };
                 writeln!(out, "--- {} under GLocks ---", kind.name()).unwrap();
-                writeln!(out, "{}", glocks_sim::summary::render(&r.report)).unwrap();
+                writeln!(out, "{}", glocks_sim::summary::render(&r)).unwrap();
             }
         }
         "faults" => {
@@ -273,20 +275,20 @@ fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
         }
         "fuzz" => {
             if let Some(path) = &cli.fuzz_replay {
-                match fuzz::replay_file(path, cli.synthetic_bug) {
+                match fuzz::replay_file(opts, path, cli.synthetic_bug) {
                     Ok(None) => writeln!(out, "replay {path}: ok (no longer reproduces)").unwrap(),
                     Ok(Some(f)) => {
                         writeln!(out, "replay {path}: reproduced {} — {}", f.kind, f.detail)
                             .unwrap();
-                        exp::record_run_error(&f.kind, &f.detail);
+                        fail(&f.kind, &f.detail);
                     }
                     Err(e) => {
                         writeln!(out, "replay {path}: {e}").unwrap();
-                        exp::record_run_error("replay-error", &e);
+                        fail("replay-error", &e);
                     }
                 }
             } else {
-                let rep = fuzz::run(&fuzz::FuzzConfig {
+                let rep = fuzz::run(opts, &fuzz::FuzzConfig {
                     seed: cli.fuzz_seed,
                     plans: cli.fuzz_plans,
                     out_dir: cli.fuzz_out.clone(),
@@ -304,25 +306,11 @@ fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
                         f.path.as_deref().unwrap_or("(pass --fuzz-out DIR to write it)")
                     )
                     .unwrap();
-                    exp::record_run_error(&f.kind, &f.detail);
+                    fail(&f.kind, &f.detail);
                 }
             }
         }
         other => unreachable!("experiment names are checked before the sweep: {other}"),
-    }
-    if let Some(dir) = &cli.stats_dir {
-        let records = glocks_stats::selfprof::drain();
-        if !records.is_empty() {
-            let path = format!("{dir}/BENCH_{name}.json");
-            if let Err(e) = std::fs::write(&path, glocks_stats::selfprof::bench_json(&records)) {
-                eprintln!("failed to write {path}: {e}");
-            }
-        }
-        exp::set_stats_dir(None);
-    }
-    if cli.chrome_trace.is_some() {
-        traces.lock().unwrap().extend(trace::drain());
-        trace::disable();
     }
     out
 }
@@ -330,17 +318,18 @@ fn run_one(name: &str, cli: &Cli, traces: &Mutex<Vec<TraceRecord>>) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cli = Cli {
-        opts: ExpOptions::default(),
-        csv_dir: None,
-        stats_dir: None,
-        chrome_trace: None,
-        jobs: 1,
-        watchdog: None,
+        quick: false,
+        threads: ExpOptions::default().threads,
         mesh: None,
         dense: false,
+        watchdog: None,
+        timeout_secs: None,
+        stats_dir: None,
+        csv_dir: None,
+        chrome_trace: None,
+        jobs: 1,
         journal: None,
         resume: false,
-        timeout_secs: None,
         retries: 2,
         backoff_ms: 250,
         inject_panic: None,
@@ -355,10 +344,10 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--quick" => cli.opts.quick = true,
+            "--quick" => cli.quick = true,
             "--threads" => {
-                cli.opts.threads = number(&args, &mut i, "a number >= 1");
-                if cli.opts.threads == 0 {
+                cli.threads = number(&args, &mut i, "a number >= 1");
+                if cli.threads == 0 {
                     bad_value("--threads", "a number >= 1");
                 }
             }
@@ -385,7 +374,11 @@ fn main() {
             "--journal" => cli.journal = Some(PathBuf::from(value(&args, &mut i))),
             "--resume" => cli.resume = true,
             "--timeout-secs" => {
-                cli.timeout_secs = Some(number(&args, &mut i, "a number of seconds"));
+                let secs = number(&args, &mut i, "a number of seconds >= 1");
+                if secs == 0 {
+                    bad_value("--timeout-secs", "a number of seconds >= 1");
+                }
+                cli.timeout_secs = Some(secs);
             }
             "--retries" => cli.retries = number(&args, &mut i, "a number"),
             "--backoff-ms" => cli.backoff_ms = number(&args, &mut i, "a number of milliseconds"),
@@ -421,15 +414,21 @@ fn main() {
         eprintln!("unknown experiment: {bad}");
         usage();
     }
-    if selected.is_empty() || selected.iter().any(|s| s == "all") {
-        selected = [
-            "table1", "table2", "table3", "fig1", "fig7", "fig8", "table4", "fig9", "fig10",
-            "ablations", "multiprog", "faults", "chaos", "service",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    if selected.is_empty() {
+        selected.push("all".to_string());
     }
+    // Expand `all` where it stands; journal ids must stay unique, so each
+    // experiment runs once, at its first mention.
+    let mut expanded: Vec<String> = Vec::new();
+    for name in &selected {
+        let names = if name == "all" { PAPER_SET.to_vec() } else { vec![name.as_str()] };
+        for n in names {
+            if !expanded.iter().any(|e| e == n) {
+                expanded.push(n.to_string());
+            }
+        }
+    }
+    let selected = expanded;
     if let Some(dir) = &cli.stats_dir {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -451,30 +450,39 @@ fn main() {
         retry: sweep::RetryPolicy { retries: cli.retries, backoff_ms: cli.backoff_ms },
     };
     let work = |name: &str, attempt: u32| {
-        // A previous panicked run on this worker thread may have leaked an
-        // open stats session; start clean.
+        // A run that panicked or timed out earlier on this worker thread
+        // may have left the stats registry open; start clean.
         glocks_stats::disable();
-        exp::drain_sim_errors();
-        let wedge = cli.inject_wedge.as_deref() == Some(name);
-        exp::set_wall_clock_limit_ms(if wedge {
-            Some(0) // self-test hook: every simulation exceeds instantly
-        } else {
-            cli.timeout_secs.map(|s| s.saturating_mul(1000))
-        });
+        let opts = ExpOptions {
+            quick: cli.quick,
+            threads: cli.threads,
+            mesh: cli.mesh,
+            dense: cli.dense,
+            watchdog_cycles: cli.watchdog,
+            timeout_secs: if cli.inject_wedge.as_deref() == Some(name) {
+                Some(0) // self-test hook: every simulation overstays at once
+            } else {
+                cli.timeout_secs
+            },
+            stats_dir: cli.stats_dir.clone(),
+            context: name.to_string(),
+            ..Default::default()
+        };
         if cli.inject_panic.as_deref() == Some(name) {
             panic!("injected panic in {name} (harness self-test hook)");
         }
-        let t0 = Instant::now();
-        let out = run_one(name, &cli, &traces);
-        eprintln!("[{name} done in {:.1}s (attempt {attempt})]", t0.elapsed().as_secs_f64());
-        let mut artifacts = Vec::new();
-        if let Some(dir) = &cli.stats_dir {
-            let bench = format!("{dir}/BENCH_{name}.json");
-            if std::path::Path::new(&bench).exists() {
-                artifacts.push(bench);
-            }
+        if cli.chrome_trace.is_some() {
+            trace::enable(TraceMask::ALL, TRACE_CAP);
         }
-        let errors = exp::drain_sim_errors();
+        let t0 = Instant::now();
+        let out = run_one(name, &opts, &cli);
+        eprintln!("[{name} done in {:.1}s (attempt {attempt})]", t0.elapsed().as_secs_f64());
+        if cli.chrome_trace.is_some() {
+            traces.lock().unwrap().extend(trace::drain());
+            trace::disable();
+        }
+        let artifacts = opts.write_bench().into_iter().collect();
+        let errors = opts.take_errors();
         // Fault sweeps tolerate individual dead configurations (their
         // errors are informational rows); the fuzzer's whole contract is
         // that the envelope is clean, so any deterministic error it

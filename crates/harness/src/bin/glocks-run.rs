@@ -37,12 +37,11 @@
 //! 2 = transient wedge (checkpoint kept for resume), 42 = injected crash.
 //! ```
 
-use glocks_harness::exp::parse_mesh;
+use glocks_harness::exp::{parse_mesh, ExpOptions, RunSpec};
 use glocks_harness::journal::{Journal, JournalRow, RunError, RunStatus};
 use glocks_locks::LockAlgorithm;
-use glocks_sim::{LockMapping, SimError, Simulation, SimulationOptions, Snapshot};
-use glocks_sim_base::{CmpConfig, Mesh2D};
-use glocks_workloads::{BenchConfig, BenchKind};
+use glocks_sim::{LockMapping, SimError, Simulation, Snapshot};
+use glocks_workloads::BenchKind;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -71,17 +70,14 @@ fn parse_lock(name: &str) -> Option<LockAlgorithm> {
 struct Cli {
     bench: BenchKind,
     lock: LockAlgorithm,
-    threads: usize,
-    mesh: Option<Mesh2D>,
-    quick: bool,
+    /// `--threads`, `--mesh`, `--quick`, `--dense`, `--watchdog-cycles` and
+    /// `--timeout-secs`, applied as `glocks-experiments` applies them.
+    opts: ExpOptions,
     out: PathBuf,
     checkpoint_every: u64,
     snapshot: Option<PathBuf>,
     resume: bool,
-    watchdog: Option<u64>,
-    timeout_secs: Option<u64>,
     die_after: Option<u64>,
-    dense: bool,
 }
 
 fn usage() -> ! {
@@ -100,17 +96,12 @@ fn parse_cli() -> Cli {
     let mut cli = Cli {
         bench: BenchKind::Sctr,
         lock: LockAlgorithm::Glock,
-        threads: 32,
-        mesh: None,
-        quick: false,
+        opts: ExpOptions::default(),
         out: PathBuf::from("runs"),
         checkpoint_every: 0,
         snapshot: None,
         resume: false,
-        watchdog: None,
-        timeout_secs: None,
         die_after: None,
-        dense: false,
     };
     let mut i = 0;
     let need = |args: &[String], i: usize, flag: &str| -> String {
@@ -136,8 +127,8 @@ fn parse_cli() -> Cli {
             }
             "--threads" => {
                 i += 1;
-                cli.threads = need(&args, i, "--threads").parse().unwrap_or_else(|_| usage());
-                if cli.threads == 0 {
+                cli.opts.threads = need(&args, i, "--threads").parse().unwrap_or_else(|_| usage());
+                if cli.opts.threads == 0 {
                     eprintln!("--threads must be at least 1");
                     usage()
                 }
@@ -145,12 +136,12 @@ fn parse_cli() -> Cli {
             "--mesh" => {
                 i += 1;
                 let v = need(&args, i, "--mesh");
-                cli.mesh = Some(parse_mesh(&v).unwrap_or_else(|e| {
+                cli.opts.mesh = Some(parse_mesh(&v).unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 }));
             }
-            "--quick" => cli.quick = true,
+            "--quick" => cli.opts.quick = true,
             "--out" => {
                 i += 1;
                 cli.out = PathBuf::from(need(&args, i, "--out"));
@@ -165,17 +156,17 @@ fn parse_cli() -> Cli {
                 cli.snapshot = Some(PathBuf::from(need(&args, i, "--snapshot")));
             }
             "--resume" => cli.resume = true,
-            "--dense" => cli.dense = true,
+            "--dense" => cli.opts.dense = true,
             "--watchdog-cycles" => {
                 i += 1;
-                cli.watchdog =
+                cli.opts.watchdog_cycles =
                     Some(need(&args, i, "--watchdog-cycles").parse().unwrap_or_else(|_| usage()));
             }
             "--timeout-secs" => {
                 i += 1;
-                cli.timeout_secs =
+                cli.opts.timeout_secs =
                     Some(need(&args, i, "--timeout-secs").parse().unwrap_or_else(|_| usage()));
-                if cli.timeout_secs == Some(0) {
+                if cli.opts.timeout_secs == Some(0) {
                     eprintln!("--timeout-secs must be at least 1");
                     usage()
                 }
@@ -211,6 +202,16 @@ fn parse_cli() -> Cli {
         eprintln!("--die-after-checkpoints needs --checkpoint-every N with N >= 1");
         usage()
     }
+    if let Some(m) = cli.opts.mesh.filter(|m| m.len() != cli.opts.threads) {
+        eprintln!(
+            "--mesh {}x{} holds {} tiles but --threads is {}",
+            m.cols(),
+            m.rows(),
+            m.len(),
+            cli.opts.threads
+        );
+        usage()
+    }
     cli
 }
 
@@ -238,7 +239,11 @@ fn journal_append(journal: &mut Option<Journal>, row: &JournalRow) {
 
 fn main() {
     let cli = parse_cli();
-    let id = format!("{}_{}_{}t", cli.bench.name(), cli.lock.name(), cli.threads);
+    let bench = cli.opts.bench(cli.bench);
+    let mut spec =
+        RunSpec::bench(&bench, LockMapping::hybrid(&bench.hc_locks(), cli.lock, bench.n_locks()));
+    cli.opts.apply(&mut spec);
+    let id = spec.tag.clone();
     if let Err(e) = std::fs::create_dir_all(&cli.out) {
         eprintln!("[glocks-run] cannot create {}: {e}", cli.out.display());
         std::process::exit(2);
@@ -257,36 +262,9 @@ fn main() {
     // counters and histograms in their constructors.
     glocks_stats::enable(glocks_stats::StatsConfig::default());
     glocks_stats::set_meta("experiment", "glocks-run");
-    glocks_stats::set_meta("bench", cli.bench.name());
-    glocks_stats::set_meta("lock", cli.lock.name());
-    glocks_stats::set_meta("threads", &cli.threads.to_string());
-
-    let bench = if cli.quick {
-        BenchConfig::smoke(cli.bench, cli.threads)
-    } else {
-        BenchConfig::paper(cli.bench, cli.threads)
-    };
-    let mapping = LockMapping::hybrid(&bench.hc_locks(), cli.lock, bench.n_locks());
-    let mut cfg = CmpConfig::paper_baseline().with_cores(cli.threads);
-    if let Some(m) = cli.mesh {
-        if m.len() != cli.threads {
-            eprintln!(
-                "--mesh {}x{} holds {} tiles but --threads is {}",
-                m.cols(),
-                m.rows(),
-                m.len(),
-                cli.threads
-            );
-            usage();
-        }
-        cfg = cfg.with_mesh(m);
+    for (k, v) in &spec.meta {
+        glocks_stats::set_meta(k, v);
     }
-    let mut options = SimulationOptions::default();
-    if let Some(w) = cli.watchdog {
-        options.watchdog_cycles = w;
-    }
-    options.wall_clock_limit_ms = cli.timeout_secs.map(|s| s.saturating_mul(1000));
-    options.idle_skip = !cli.dense;
     let inst = bench.build();
 
     let resumed_from = if cli.resume && ckpt_path.exists() {
@@ -305,7 +283,14 @@ fn main() {
 
     let sim = match &resumed_from {
         Some(snap) => {
-            match Simulation::resume(&cfg, &mapping, inst.workloads, &inst.init, options, snap) {
+            match Simulation::resume(
+                &spec.cfg,
+                &spec.mapping,
+                inst.workloads,
+                &inst.init,
+                spec.options,
+                snap,
+            ) {
                 Ok(sim) => {
                     eprintln!(
                         "[glocks-run] {id}: resumed from {} at cycle {}",
@@ -317,17 +302,13 @@ fn main() {
                 Err(e) => {
                     eprintln!("[glocks-run] {id}: snapshot refused: {e}");
                     let mut row = JournalRow::new(&id, RunStatus::Failed);
-                    row.errors.push(RunError {
-                        kind: "snapshot-refused".to_string(),
-                        transient: false,
-                        detail: e.to_string(),
-                    });
+                    row.errors.push(RunError::failed("snapshot-refused", &e.to_string()));
                     journal_append(&mut journal, &row);
                     std::process::exit(1);
                 }
             }
         }
-        None => Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, options),
+        None => Simulation::new(&spec.cfg, &spec.mapping, inst.workloads, &inst.init, spec.options),
     };
 
     journal_append(&mut journal, &JournalRow::new(&id, RunStatus::Running));
@@ -361,11 +342,7 @@ fn main() {
                 eprintln!("[glocks-run] {id}: verification FAILED: {e}");
                 let mut row = JournalRow::new(&id, RunStatus::Failed);
                 row.wall_ms = t0.elapsed().as_millis() as u64;
-                row.errors.push(RunError {
-                    kind: "verification-failed".to_string(),
-                    transient: false,
-                    detail: e.to_string(),
-                });
+                row.errors.push(RunError::failed("verification-failed", &e));
                 journal_append(&mut journal, &row);
                 std::process::exit(1);
             }

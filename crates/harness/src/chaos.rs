@@ -28,12 +28,11 @@
 //! and MESI compatibility are validated throughout the dying run. A
 //! violation would surface as an `invariant-violation` row.
 
-use crate::exp::{effective_watchdog, ExpOptions};
+use crate::exp::{self, ExpOptions, Finished, RunSpec};
 use glocks_locks::LockAlgorithm;
-use glocks_sim::{CheckerConfig, LockMapping, Simulation, SimulationOptions};
+use glocks_sim::{CheckerConfig, LockMapping, SimulationOptions};
 use glocks_sim_base::fault::{FaultPlan, HardFault, HardFaultTarget};
 use glocks_sim_base::table::TextTable;
-use glocks_sim_base::CmpConfig;
 use glocks_workloads::BenchKind;
 
 /// Seed for the published sweep — reproduce any row with
@@ -123,15 +122,12 @@ fn row(
     plan: Option<FaultPlan>,
 ) -> Option<RowOutcome> {
     let bench = opts.bench(BenchKind::Sctr);
-    let inst = bench.build();
-    let cfg = CmpConfig::paper_baseline().with_cores(bench.threads);
-    let mapping = LockMapping::uniform(LockAlgorithm::Glock, 1);
     let survivable = plan.as_ref().is_none_or(|p| {
         !p.hard
             .iter()
             .any(|h| matches!(h.target, HardFaultTarget::Tile { .. }))
     });
-    let mut sim_opts = SimulationOptions {
+    let mut options = SimulationOptions {
         fault_plan: plan,
         checker: Some(CheckerConfig::default()),
         ..Default::default()
@@ -140,32 +136,26 @@ fn row(
     // takes ~50k cycles of retransmission backoff); a dead tile should be
     // diagnosed fast.
     if !survivable {
-        sim_opts.watchdog_cycles = 100_000;
+        options.watchdog_cycles = 100_000;
     }
-    sim_opts.watchdog_cycles = effective_watchdog(&sim_opts);
-    let cfg = crate::exp::apply_machine_overrides(bench.threads, cfg, &mut sim_opts);
-    // Before `Simulation::new`: components register their histograms in
-    // their constructors, so the session must already be open.
-    let session = crate::exp::open_stats_session(
-        &format!("SCTR_GLock_{scenario}_{}t", bench.threads),
-        &[
-            ("bench", "SCTR"),
-            ("lock", "GLock"),
-            ("scenario", scenario),
+    let spec = RunSpec {
+        tag: format!("SCTR_GLock_{scenario}_{}t", bench.threads),
+        meta: vec![
+            ("bench", "SCTR".to_string()),
+            ("lock", "GLock".to_string()),
+            ("scenario", scenario.to_string()),
         ],
-    );
-    let sim = Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, sim_opts);
-    match sim.run() {
-        Ok((report, mem)) => {
-            (inst.verify)(mem.store()).expect("surviving a chaos schedule means *correctly*");
+        options,
+        ..RunSpec::bench(&bench, LockMapping::uniform(LockAlgorithm::Glock, 1))
+    };
+    // Surviving a chaos schedule means surviving it *correctly*.
+    match exp::run(opts, spec, || bench.build()).map(Finished::verified) {
+        Ok(report) => {
             let num = |k: &str| report.stats.as_ref().and_then(|d| d.counters.get(k).copied());
             let show = |v: Option<u64>| v.map_or_else(|| "-".to_string(), |v| v.to_string());
             let failovers = num("sim.failovers");
             let failbacks = num("sim.failbacks");
             let checks = num("checker.checks_run");
-            if let Some(s) = session {
-                s.finish(&report);
-            }
             let acquires = report.acquires[0];
             t.row([
                 scenario.to_string(),
@@ -184,9 +174,6 @@ fn row(
             })
         }
         Err(e) => {
-            if let Some(s) = session {
-                s.abort();
-            }
             assert!(
                 !survivable,
                 "a survivable chaos scenario must complete, got: {e}"
@@ -216,11 +203,14 @@ mod tests {
         // `run` must be exercised, not vacuously skipped.
         let dir = std::env::temp_dir().join(format!("glocks_chaos_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        crate::exp::set_stats_dir(dir.to_str());
-        crate::exp::set_stats_context("chaos");
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions {
+            quick: true,
+            threads: 8,
+            stats_dir: dir.to_str().map(str::to_string),
+            context: "chaos".to_string(),
+            ..Default::default()
+        };
         let t = run(&opts);
-        crate::exp::set_stats_dir(None);
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(t.n_rows(), 4);
         let csv = t.to_csv();

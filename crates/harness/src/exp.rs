@@ -1,240 +1,74 @@
-//! Shared experiment plumbing: configure → run → verify → report.
+//! Shared experiment plumbing: every harness simulation starts in [`run`].
+//!
+//! A driver describes each run as a [`RunSpec`] — what differs from run to
+//! run — and hands it to [`run`] with the [`ExpOptions`] the command line
+//! decided for its experiment, which every run of that experiment obeys.
 
+use crate::journal::RunError;
 use glocks_locks::LockAlgorithm;
+use glocks_mem::MemorySystem;
 use glocks_sim::{LockMapping, SimError, SimReport, Simulation, SimulationOptions};
 use glocks_sim_base::{CmpConfig, Mesh2D};
-use glocks_workloads::{BenchConfig, BenchKind};
+use glocks_stats::{BenchRecord, Stopwatch};
+use glocks_workloads::{BenchConfig, BenchInstance, BenchKind, Verifier};
 use std::cell::{Cell, RefCell};
 
-thread_local! {
-    /// Where this thread's runs dump their stats JSON (`None` = stats off).
-    static STATS_DIR: RefCell<Option<String>> = const { RefCell::new(None) };
-    /// Experiment name the subsequent runs belong to (dump-file prefix).
-    static STATS_CTX: RefCell<String> = const { RefCell::new(String::new()) };
-    /// Per-context sequence number so repeated configs get distinct files.
-    static STATS_SEQ: Cell<u64> = const { Cell::new(0) };
-    /// Watchdog-window override for subsequent runs on this thread
-    /// (`None` = each driver's own choice stands).
-    static WATCHDOG: Cell<Option<u64>> = const { Cell::new(None) };
-    /// Per-run wall-clock budget (milliseconds) applied to every
-    /// simulation started on this thread (`None` = unlimited).
-    static WALL_LIMIT: Cell<Option<u64>> = const { Cell::new(None) };
-    /// Explicit mesh floor plan for subsequent runs on this thread — the
-    /// `--mesh WxH` harness flag (`None` = near-square factorization).
-    static MESH: Cell<Option<Mesh2D>> = const { Cell::new(None) };
-    /// Idle-skip override for subsequent runs on this thread — the
-    /// `--dense` harness flag sets `Some(false)` (`None` = each driver's
-    /// options stand, i.e. the event-driven scheduler is on by default).
-    static IDLE_SKIP: Cell<Option<bool>> = const { Cell::new(None) };
-    /// Structured `SimError`s observed by runs on this thread since the
-    /// last [`drain_sim_errors`] — the sweep engine's failure channel,
-    /// reaching past drivers that tolerate individual dead configurations.
-    static RUN_ERRORS: RefCell<Vec<crate::journal::RunError>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Direct every subsequent [`run_bench`] on *this thread* to record typed
-/// stats and dump them as JSON into `dir`. `None` turns dumping back off.
-/// Thread-local on purpose: parallel sweeps give each worker its own state.
-pub fn set_stats_dir(dir: Option<&str>) {
-    STATS_DIR.with(|d| *d.borrow_mut() = dir.map(|s| s.to_string()));
-}
-
-/// Name the experiment the subsequent runs belong to; used as the dump-file
-/// prefix and stored in the dump's `meta.experiment`. Resets the sequence
-/// counter so files within one experiment number from 0.
-pub fn set_stats_context(ctx: &str) {
-    STATS_CTX.with(|c| *c.borrow_mut() = ctx.to_string());
-    STATS_SEQ.with(|s| s.set(0));
-}
-
-/// Override the wedge watchdog window (in cycles, 0 = off) for every
-/// subsequent run on *this* thread — the `--watchdog-cycles` harness flag.
-/// `None` restores each driver's own choice (the simulator default is
-/// [`SimulationOptions::default`]'s 2M cycles). Thread-local like
-/// [`set_stats_dir`], so `--jobs` workers each apply it independently.
-pub fn set_watchdog_cycles(cycles: Option<u64>) {
-    WATCHDOG.with(|w| w.set(cycles));
-}
-
-/// The watchdog window [`run_bench_with`] will actually use for `options`.
-pub fn effective_watchdog(options: &SimulationOptions) -> u64 {
-    WATCHDOG.with(|w| w.get()).unwrap_or(options.watchdog_cycles)
-}
-
-/// Give every subsequent simulation on *this* thread a wall-clock budget
-/// (cooperative: the runner returns [`SimError::WallClockExceeded`], the
-/// only *transient* failure, when a run overstays). `None` lifts the
-/// budget. Thread-local like [`set_watchdog_cycles`], so `--jobs` workers
-/// time out independently.
-pub fn set_wall_clock_limit_ms(ms: Option<u64>) {
-    WALL_LIMIT.with(|w| w.set(ms));
-}
-
-/// Pin the mesh floor plan for every subsequent run on *this* thread — the
-/// `--mesh WxH` harness flag. The shape must hold exactly as many tiles as
-/// the run has threads; [`run_bench_with`] panics on a mismatch rather than
-/// silently simulating a different machine than the one asked for. `None`
-/// restores the near-square default. Thread-local like [`set_stats_dir`].
-pub fn set_mesh_override(mesh: Option<Mesh2D>) {
-    MESH.with(|m| m.set(mesh));
-}
-
-/// Force the cycle loop dense (`Some(false)`) or event-driven
-/// (`Some(true)`) for every subsequent run on *this* thread — the `--dense`
-/// harness flag. Both modes march through identical machine states (the
-/// idle-skip determinism contract); the knob exists for A/B self-profiling
-/// and for paranoia reruns. `None` restores each driver's own options.
-pub fn set_idle_skip(mode: Option<bool>) {
-    IDLE_SKIP.with(|s| s.set(mode));
-}
-
-/// Apply this thread's `--mesh` / `--dense` overrides to a run that is
-/// about to start: shapes `cfg`'s floor plan (validated against `threads`)
-/// and pins the cycle-loop mode. [`run_bench_with`] calls this for the
-/// standard benches; drivers that build their own [`Simulation`] call it
-/// too, so the CLI knobs reach every experiment — service sweeps, fault
-/// campaigns, ablations — not just the classic lock benches.
-pub fn apply_machine_overrides(
-    threads: usize,
-    mut cfg: CmpConfig,
-    options: &mut SimulationOptions,
-) -> CmpConfig {
-    if let Some(skip) = IDLE_SKIP.with(|s| s.get()) {
-        options.idle_skip = skip;
-    }
-    if let Some(m) = MESH.with(|m| m.get()) {
-        assert!(
-            m.len() == threads,
-            "--mesh {}x{} holds {} tiles but the workload runs {} threads",
-            m.cols(),
-            m.rows(),
-            m.len(),
-            threads
-        );
-        cfg = cfg.with_mesh(m);
-    }
-    cfg
-}
-
-/// Parse a `--mesh` argument of the form `WxH` (e.g. `32x32`) into a mesh.
-pub fn parse_mesh(s: &str) -> Result<Mesh2D, String> {
-    let (w, h) = s
-        .split_once(['x', 'X'])
-        .ok_or_else(|| format!("mesh '{s}' is not of the form WxH (e.g. 32x32)"))?;
-    let w: u16 = w.trim().parse().map_err(|_| format!("mesh width '{w}' is not a number"))?;
-    let h: u16 = h.trim().parse().map_err(|_| format!("mesh height '{h}' is not a number"))?;
-    if w == 0 || h == 0 {
-        return Err(format!("mesh '{s}' must be non-empty"));
-    }
-    Ok(Mesh2D::new(w, h))
-}
-
-/// Record a structured error for the sweep engine (done automatically by
-/// [`run_bench_with`]; drivers that run `Simulation` by hand and swallow
-/// the error themselves should call this so the journal still sees it).
-pub fn record_sim_error(e: &SimError) {
-    RUN_ERRORS.with(|r| r.borrow_mut().push(crate::journal::RunError::from_sim_error(e)));
-}
-
-/// Record a failure that is not a [`SimError`] — the fuzzer's
-/// verification mismatches, a repro that fails to parse — so the sweep
-/// engine still turns it into a failed journal row and a nonzero exit
-/// code.
-pub fn record_run_error(kind: &str, detail: &str) {
-    RUN_ERRORS.with(|r| {
-        r.borrow_mut().push(crate::journal::RunError {
-            kind: kind.to_string(),
-            transient: false,
-            detail: detail.to_string(),
-        })
-    });
-}
-
-/// Take every error recorded on this thread since the last drain. The
-/// sweep engine drains before and after each run: transient entries make
-/// the run retryable, deterministic ones become journal rows.
-pub fn drain_sim_errors() -> Vec<crate::journal::RunError> {
-    RUN_ERRORS.with(|r| std::mem::take(&mut *r.borrow_mut()))
-}
-
-/// Make a label safe for a filename (`MP-Lock` stays, `MCS/32` would not).
-fn sanitize(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' { c } else { '_' })
-        .collect()
-}
-
-/// An open stats-recording session around one simulation run, created by
-/// [`open_stats_session`]. Close it with [`StatsSession::finish`] (dumps
-/// the report's snapshot) or [`StatsSession::abort`] (wedged run).
-pub struct StatsSession {
-    dir: String,
-    tag: String,
-    watch: glocks_stats::Stopwatch,
-}
-
-/// Open a stats session for one run if `set_stats_dir` is active on this
-/// thread (`None` otherwise — zero cost). [`run_bench_with`] does this for
-/// the standard path; drivers that assemble a `Simulation` by hand (fault
-/// sweeps, multiprogramming, ablations) call it around `sim.run()` so
-/// *every* experiment dumps stats under `--stats-json`. Open it **before**
-/// `Simulation::new` — components register their histograms and series in
-/// their constructors. `meta` key/value pairs land in the dump's `meta`
-/// block.
-pub fn open_stats_session(tag: &str, meta: &[(&str, &str)]) -> Option<StatsSession> {
-    let dir = STATS_DIR.with(|d| d.borrow().clone())?;
-    let ctx = STATS_CTX.with(|c| c.borrow().clone());
-    let ctx = if ctx.is_empty() { "run".to_string() } else { ctx };
-    let tag = format!("{ctx}_{}", sanitize(tag));
-    let watch = glocks_stats::Stopwatch::start(&tag);
-    glocks_stats::enable(glocks_stats::StatsConfig::default());
-    glocks_stats::set_meta("experiment", &ctx);
-    for (k, v) in meta {
-        glocks_stats::set_meta(k, v);
-    }
-    Some(StatsSession { dir, tag, watch })
-}
-
-impl StatsSession {
-    /// Dump the report's snapshot as `DIR/<tag>_<seq>.json`, profile the
-    /// phase, and close the session.
-    pub fn finish(self, report: &SimReport) {
-        if let Some(dump) = &report.stats {
-            let seq = STATS_SEQ.with(|s| {
-                let v = s.get();
-                s.set(v + 1);
-                v
-            });
-            let path = format!("{}/{}_{seq}.json", self.dir, self.tag);
-            if let Err(e) = std::fs::write(&path, dump.to_json()) {
-                eprintln!("[harness] failed to write stats dump {path}: {e}");
-            }
-        }
-        self.watch.stop(report.cycles);
-        glocks_stats::disable();
-    }
-
-    /// Close the session after a wedged run: nothing to dump, and the
-    /// phase is profiled as 0 simulated cycles so the sweep's BENCH file
-    /// still accounts for the wall time spent.
-    pub fn abort(self) {
-        self.watch.stop(0);
-        glocks_stats::disable();
-    }
-}
-
-/// Global experiment options.
-#[derive(Clone, Copy, Debug)]
+/// What the command line decides for one experiment. Build one per
+/// experiment: its dump sequence, BENCH records and tolerated errors
+/// belong to that experiment alone.
+#[derive(Debug)]
 pub struct ExpOptions {
-    /// Use reduced input sizes (fast CI runs) instead of Table III sizes.
+    /// `--quick`: reduced input sizes instead of Table III's.
     pub quick: bool,
-    /// Cores for the main experiments (the paper's baseline is 32).
+    /// `--threads N`: cores for the main experiments (the paper's
+    /// baseline is 32).
     pub threads: usize,
+    /// `--mesh WxH`: the floor plan of every run whose spec does not pin
+    /// one. It must hold exactly as many tiles as the run has cores.
+    pub mesh: Option<Mesh2D>,
+    /// `--dense`: tick every cycle instead of skipping idle ones. Both
+    /// loops march through identical machine states.
+    pub dense: bool,
+    /// `--watchdog-cycles N`: replaces every run's watchdog window
+    /// (0 = off).
+    pub watchdog_cycles: Option<u64>,
+    /// `--timeout-secs N`: every run's wall-clock budget. A run that
+    /// overstays ends the experiment's attempt as a transient wedge.
+    pub timeout_secs: Option<u64>,
+    /// `--stats-json DIR`: where each run's stats dump goes (`None` =
+    /// stats off).
+    pub stats_dir: Option<String>,
+    /// Experiment name: the dump-file prefix and the dump's
+    /// `meta.experiment`.
+    pub context: String,
+    /// What this experiment's runs leave behind; start it empty.
+    pub log: ExpLog,
+}
+
+/// What one experiment's runs leave behind besides their results.
+#[derive(Debug, Default)]
+pub struct ExpLog {
+    /// Dumps written so far, so repeated configurations get distinct files.
+    seq: Cell<u64>,
+    /// One self-profile record per run under `--stats-json`.
+    records: RefCell<Vec<BenchRecord>>,
+    /// Failures of runs the drivers tolerated, for the sweep journal.
+    errors: RefCell<Vec<RunError>>,
 }
 
 impl Default for ExpOptions {
     fn default() -> Self {
-        ExpOptions { quick: false, threads: 32 }
+        ExpOptions {
+            quick: false,
+            threads: 32,
+            mesh: None,
+            dense: false,
+            watchdog_cycles: None,
+            timeout_secs: None,
+            stats_dir: None,
+            context: "run".to_string(),
+            log: ExpLog::default(),
+        }
     }
 }
 
@@ -250,94 +84,231 @@ impl ExpOptions {
             BenchConfig::paper(kind, threads)
         }
     }
-}
 
-/// One verified simulation run.
-pub struct RunResult {
-    pub kind: BenchKind,
-    pub label: &'static str,
-    pub threads: usize,
-    pub report: SimReport,
-}
-
-/// Run `kind` with the given lock mapping. A wedged run comes back as
-/// `Err(SimError)` so a sweep can log it and keep going; a *verification*
-/// failure still panics — every experiment doubles as a correctness test,
-/// and a wrong answer (unlike a wedge under faults) is always a bug.
-pub fn run_bench(bench: &BenchConfig, mapping: &LockMapping) -> Result<RunResult, SimError> {
-    run_bench_with(bench, mapping, SimulationOptions::default())
-}
-
-/// [`run_bench`] with explicit simulation options (fault plans, watchdog
-/// windows, ...).
-pub fn run_bench_with(
-    bench: &BenchConfig,
-    mapping: &LockMapping,
-    mut options: SimulationOptions,
-) -> Result<RunResult, SimError> {
-    options.watchdog_cycles = effective_watchdog(&options);
-    if let Some(ms) = WALL_LIMIT.with(|w| w.get()) {
-        options.wall_clock_limit_ms = Some(ms);
-    }
-    let session = open_stats_session(
-        &format!("{}_{}_{}t", bench.kind.name(), mapping.label(), bench.threads),
-        &[
-            ("bench", bench.kind.name()),
-            ("lock", mapping.label()),
-            ("threads", &bench.threads.to_string()),
-        ],
-    );
-    let inst = bench.build();
-    let cfg = apply_machine_overrides(
-        bench.threads,
-        CmpConfig::paper_baseline().with_cores(bench.threads),
-        &mut options,
-    );
-    let sim = Simulation::new(&cfg, mapping, inst.workloads, &inst.init, options);
-    let (report, mem) = match sim.run() {
-        Ok(x) => x,
-        Err(e) => {
-            if let Some(s) = session {
-                s.abort();
-            }
-            record_sim_error(&e);
-            return Err(e);
-        }
-    };
-    if let Err(e) = (inst.verify)(mem.store()) {
-        panic!(
-            "{:?} with {} failed verification: {e}",
-            bench.kind,
-            mapping.label()
-        );
-    }
-    if let Some(s) = session {
-        s.finish(&report);
-    }
-    Ok(RunResult {
-        kind: bench.kind,
-        label: mapping.label(),
-        threads: bench.threads,
-        report,
-    })
-}
-
-/// Sweep-friendly wrapper: log a wedged configuration to stderr and return
-/// `None` so the caller's remaining experiments still run.
-pub fn try_run_bench(bench: &BenchConfig, mapping: &LockMapping) -> Option<RunResult> {
-    match run_bench(bench, mapping) {
-        Ok(r) => Some(r),
-        Err(e) => {
-            eprintln!(
-                "[harness] {:?} x{} with {} wedged ({}); skipping\n{e}",
-                bench.kind,
-                bench.threads,
-                mapping.label(),
-                e.kind()
+    /// Apply the run-wide settings to `spec`: `--mesh` unless the spec
+    /// pins a floor plan, `--dense`, `--watchdog-cycles` and
+    /// `--timeout-secs`. A `--mesh` that does not fit the run panics
+    /// rather than silently simulating a different machine.
+    pub fn apply(&self, spec: &mut RunSpec) {
+        if let (Some(m), None) = (self.mesh, spec.cfg.mesh_override) {
+            assert!(
+                m.len() == spec.cfg.num_cores,
+                "--mesh {}x{} holds {} tiles but the workload runs {} threads",
+                m.cols(),
+                m.rows(),
+                m.len(),
+                spec.cfg.num_cores
             );
+            spec.cfg = spec.cfg.with_mesh(m);
+        }
+        if self.dense {
+            spec.options.idle_skip = false;
+        }
+        if let Some(w) = self.watchdog_cycles {
+            spec.options.watchdog_cycles = w;
+        }
+        if let Some(s) = self.timeout_secs {
+            spec.options.wall_clock_limit_ms = Some(s.saturating_mul(1000));
+        }
+    }
+
+    /// Report a failure to the sweep journal: a tolerated run's
+    /// [`SimError`], or one that is not a `SimError` at all (the fuzzer's
+    /// findings, a repro that does not parse).
+    pub fn report(&self, e: RunError) {
+        self.log.errors.borrow_mut().push(e);
+    }
+
+    /// Take every error reported so far.
+    pub fn take_errors(&self) -> Vec<RunError> {
+        self.log.errors.take()
+    }
+
+    /// Write the experiment's self-profile, `DIR/BENCH_<context>.json`, if
+    /// any run recorded a phase. Returns the file's path.
+    pub fn write_bench(&self) -> Option<String> {
+        let dir = self.stats_dir.as_ref()?;
+        let records = self.log.records.borrow();
+        if records.is_empty() {
+            return None;
+        }
+        let path = format!("{dir}/BENCH_{}.json", self.context);
+        match std::fs::write(&path, glocks_stats::selfprof::bench_json(&records)) {
+            Ok(()) => Some(path),
+            Err(e) => {
+                eprintln!("failed to write {path}: {e}");
+                None
+            }
+        }
+    }
+}
+
+/// Parse a `--mesh` argument of the form `WxH` (e.g. `32x32`) into a mesh.
+pub fn parse_mesh(s: &str) -> Result<Mesh2D, String> {
+    let (w, h) = s
+        .split_once(['x', 'X'])
+        .ok_or_else(|| format!("mesh '{s}' is not of the form WxH (e.g. 32x32)"))?;
+    let w: u16 = w.trim().parse().map_err(|_| format!("mesh width '{w}' is not a number"))?;
+    let h: u16 = h.trim().parse().map_err(|_| format!("mesh height '{h}' is not a number"))?;
+    if w == 0 || h == 0 {
+        return Err(format!("mesh '{s}' must be non-empty"));
+    }
+    Ok(Mesh2D::new(w, h))
+}
+
+/// Make a label safe for a filename (`MP-Lock` stays, `MCS/32` would not).
+fn sanitize(s: &str) -> String {
+    s.chars()
+        .map(|c| if c.is_ascii_alphanumeric() || c == '-' { c } else { '_' })
+        .collect()
+}
+
+/// What differs from one run to the next. [`run`] applies the run-wide
+/// [`ExpOptions`] on top.
+#[derive(Clone, Debug)]
+pub struct RunSpec {
+    /// Names the run: its dump is `DIR/<experiment>_<tag>_<seq>.json`.
+    pub tag: String,
+    /// Key/value pairs for the dump's `meta` block.
+    pub meta: Vec<(&'static str, String)>,
+    /// The machine. A `mesh_override` here pins the floor plan, and
+    /// `--mesh` leaves it alone.
+    pub cfg: CmpConfig,
+    pub mapping: LockMapping,
+    pub options: SimulationOptions,
+}
+
+impl RunSpec {
+    /// `bench` under `mapping` on the paper's baseline machine scaled to
+    /// `bench.threads`, tagged `<bench>_<lock>_<threads>t`.
+    pub fn bench(bench: &BenchConfig, mapping: LockMapping) -> Self {
+        let (kind, lock) = (bench.kind.name(), mapping.label());
+        RunSpec {
+            tag: format!("{kind}_{lock}_{}t", bench.threads),
+            meta: vec![
+                ("bench", kind.to_string()),
+                ("lock", lock.to_string()),
+                ("threads", bench.threads.to_string()),
+            ],
+            cfg: CmpConfig::paper_baseline().with_cores(bench.threads),
+            mapping,
+            options: SimulationOptions::default(),
+        }
+    }
+}
+
+/// A run that completed, handed back by [`run`] for the driver to check.
+pub struct Finished {
+    /// The run's [`RunSpec::tag`].
+    pub tag: String,
+    pub report: SimReport,
+    /// The machine's memory after the run.
+    pub mem: MemorySystem,
+    /// The workload's check of `mem`'s final image.
+    pub verify: Verifier,
+}
+
+impl Finished {
+    /// The report, once the final memory passed the workload's check. A
+    /// wrong answer is always a bug (unlike a wedge under faults), so a
+    /// failed check panics: every experiment doubles as a correctness test.
+    pub fn verified(self) -> SimReport {
+        if let Err(e) = (self.verify)(self.mem.store()) {
+            panic!("{} failed verification: {e}", self.tag);
+        }
+        self.report
+    }
+}
+
+/// Run one simulation: the only place the harness starts one. In order:
+/// apply `opts`' run-wide settings to `spec`, open the stats session
+/// (`--stats-json` only), call `build` for the workloads — after the
+/// session is open, since components register their stats as they are
+/// constructed — run, write the dump and the BENCH record, and close the
+/// session.
+///
+/// A run that wedges deterministically comes back as `Err`, so a sweep
+/// can show it as a row. A run that overstays `--timeout-secs` does not
+/// come back: it unwinds with its [`RunError`], which the sweep engine
+/// records as a transient wedge of the whole experiment.
+pub fn run(
+    opts: &ExpOptions,
+    mut spec: RunSpec,
+    build: impl FnOnce() -> BenchInstance,
+) -> Result<Finished, SimError> {
+    opts.apply(&mut spec);
+    let session = opts.stats_dir.as_ref().map(|dir| {
+        let label = format!("{}_{}", opts.context, sanitize(&spec.tag));
+        glocks_stats::enable(glocks_stats::StatsConfig::default());
+        glocks_stats::set_meta("experiment", &opts.context);
+        for (k, v) in &spec.meta {
+            glocks_stats::set_meta(k, v);
+        }
+        (format!("{dir}/{label}"), Stopwatch::start(&label))
+    });
+    let inst = build();
+    let sim = Simulation::new(&spec.cfg, &spec.mapping, inst.workloads, &inst.init, spec.options);
+    let result = sim.run();
+    if let Some((prefix, watch)) = session {
+        let mut cycles = 0;
+        if let Ok((report, _)) = &result {
+            cycles = report.cycles;
+            if let Some(dump) = &report.stats {
+                let seq = opts.log.seq.replace(opts.log.seq.get() + 1);
+                let path = format!("{prefix}_{seq}.json");
+                if let Err(e) = std::fs::write(&path, dump.to_json()) {
+                    eprintln!("[harness] failed to write stats dump {path}: {e}");
+                }
+            }
+        }
+        opts.log.records.borrow_mut().push(watch.stop(cycles));
+        glocks_stats::disable();
+    }
+    match result {
+        Ok((report, mem)) => Ok(Finished { tag: spec.tag, report, mem, verify: inst.verify }),
+        Err(e) if e.is_transient() => {
+            std::panic::resume_unwind(Box::new(RunError::from_sim_error(&e)))
+        }
+        Err(e) => Err(e),
+    }
+}
+
+/// [`run`] for a driver that keeps going past a wedged run: the error is
+/// logged to stderr, reported to the journal, and the run comes back as
+/// `None`.
+pub fn try_run(
+    opts: &ExpOptions,
+    spec: RunSpec,
+    build: impl FnOnce() -> BenchInstance,
+) -> Option<Finished> {
+    let tag = spec.tag.clone();
+    match run(opts, spec, build) {
+        Ok(f) => Some(f),
+        Err(e) => {
+            eprintln!("[harness] {tag} wedged ({}); skipping\n{e}", e.kind());
+            opts.report(RunError::from_sim_error(&e));
             None
         }
     }
+}
+
+/// Run `bench` under `mapping` on the baseline machine and verify it.
+pub fn run_bench(
+    opts: &ExpOptions,
+    bench: &BenchConfig,
+    mapping: &LockMapping,
+) -> Result<SimReport, SimError> {
+    run(opts, RunSpec::bench(bench, mapping.clone()), || bench.build()).map(Finished::verified)
+}
+
+/// [`run_bench`] that logs a wedged configuration and returns `None`, so
+/// the caller's remaining configurations still run.
+pub fn try_run_bench(
+    opts: &ExpOptions,
+    bench: &BenchConfig,
+    mapping: &LockMapping,
+) -> Option<SimReport> {
+    try_run(opts, RunSpec::bench(bench, mapping.clone()), || bench.build()).map(Finished::verified)
 }
 
 /// The paper's two principal configurations for a benchmark.
@@ -357,18 +328,21 @@ mod tests {
     fn stats_dir_dumps_schema_versioned_json() {
         let dir = std::env::temp_dir().join(format!("glocks_stats_exp_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        set_stats_dir(dir.to_str());
-        set_stats_context("unit");
-        let opts = ExpOptions { quick: true, threads: 4 };
+        let opts = ExpOptions {
+            quick: true,
+            threads: 4,
+            stats_dir: dir.to_str().map(str::to_string),
+            context: "unit".to_string(),
+            ..Default::default()
+        };
         let bench = opts.bench(BenchKind::Sctr);
-        let r = run_bench(&bench, &glock_mapping(&bench)).expect("fault-free run");
-        set_stats_dir(None);
-        let dump = r.report.stats.as_ref().expect("snapshot attached to report");
+        let r = run_bench(&opts, &bench, &glock_mapping(&bench)).expect("fault-free run");
+        let dump = r.stats.as_ref().expect("snapshot attached to report");
         assert_eq!(dump.schema_version, glocks_stats::SCHEMA_VERSION);
         let path = dir.join(format!(
             "unit_{}_{}_4t_0.json",
             bench.kind.name(),
-            sanitize(r.label)
+            sanitize(glock_mapping(&bench).label())
         ));
         let text = std::fs::read_to_string(&path).expect("dump file written");
         let parsed = glocks_stats::StatsDump::from_json(&text).expect("dump parses");
@@ -380,14 +354,20 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_override_is_revertible() {
-        let opts = SimulationOptions::default();
-        let default = opts.watchdog_cycles;
-        assert_eq!(effective_watchdog(&opts), default);
-        set_watchdog_cycles(Some(123));
-        assert_eq!(effective_watchdog(&opts), 123);
-        set_watchdog_cycles(None);
-        assert_eq!(effective_watchdog(&opts), default);
+    fn watchdog_flag_replaces_the_specs_window() {
+        let opts =
+            ExpOptions { quick: true, threads: 4, watchdog_cycles: Some(50), ..Default::default() };
+        let bench = opts.bench(BenchKind::Sctr);
+        // A spec that sets its own window, as the fault sweep does.
+        let spec = RunSpec {
+            options: SimulationOptions { watchdog_cycles: 200_000, ..Default::default() },
+            ..RunSpec::bench(&bench, glock_mapping(&bench))
+        };
+        match run(&opts, spec, || bench.build()) {
+            Err(SimError::NoForwardProgress { window, .. }) => assert_eq!(window, 50),
+            Err(e) => panic!("expected no-forward-progress, got {}", e.kind()),
+            Ok(_) => panic!("a 50-cycle window cannot see the run through"),
+        }
     }
 
     #[test]
@@ -401,31 +381,27 @@ mod tests {
 
     #[test]
     fn mesh_override_shapes_the_run() {
-        let opts = ExpOptions { quick: true, threads: 4 };
+        let mesh = Some(Mesh2D::new(1, 4));
+        let opts = ExpOptions { quick: true, threads: 4, mesh, ..Default::default() };
         let bench = opts.bench(BenchKind::Sctr);
-        set_mesh_override(Some(Mesh2D::new(1, 4)));
-        let r = run_bench(&bench, &glock_mapping(&bench)).expect("fault-free run");
-        set_mesh_override(None);
-        assert!(r.report.cycles > 0);
+        let r = run_bench(&opts, &bench, &glock_mapping(&bench)).expect("fault-free run");
+        assert!(r.cycles > 0);
     }
 
-    // Each #[test] runs on its own thread, so the leaked thread-local
-    // override dies with it.
     #[test]
     #[should_panic(expected = "--mesh 4x4")]
     fn mismatched_mesh_override_panics() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let mesh = Some(Mesh2D::new(4, 4));
+        let opts = ExpOptions { quick: true, threads: 8, mesh, ..Default::default() };
         let bench = opts.bench(BenchKind::Sctr);
-        set_mesh_override(Some(Mesh2D::new(4, 4)));
-        let _ = run_bench(&bench, &glock_mapping(&bench));
+        let _ = run_bench(&opts, &bench, &glock_mapping(&bench));
     }
 
     #[test]
     fn quick_run_produces_report() {
-        let opts = ExpOptions { quick: true, threads: 4 };
+        let opts = ExpOptions { quick: true, threads: 4, ..Default::default() };
         let bench = opts.bench(BenchKind::Sctr);
-        let r = run_bench(&bench, &mcs_mapping(&bench)).expect("fault-free run");
-        assert!(r.report.cycles > 0);
-        assert_eq!(r.label, "MCS");
+        let r = run_bench(&opts, &bench, &mcs_mapping(&bench)).expect("fault-free run");
+        assert!(r.cycles > 0);
     }
 }

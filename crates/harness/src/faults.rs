@@ -7,12 +7,11 @@
 //! rate high enough to kill liveness (100% loss) must come back as a
 //! structured [`glocks_sim::SimError`] row instead of aborting the sweep.
 
-use crate::exp::ExpOptions;
+use crate::exp::{self, ExpOptions, Finished, RunSpec};
 use glocks_locks::LockAlgorithm;
-use glocks_sim::{LockMapping, Simulation, SimulationOptions};
+use glocks_sim::{LockMapping, SimulationOptions};
 use glocks_sim_base::fault::{FaultPlan, FaultRates};
 use glocks_sim_base::table::TextTable;
-use glocks_sim_base::CmpConfig;
 use glocks_workloads::BenchKind;
 
 /// Drop rates swept, in ppm of G-line signal transmissions.
@@ -29,37 +28,28 @@ pub fn run(opts: &ExpOptions) -> TextTable {
     .header(["drop rate", "outcome", "cycles", "grants", "signals", "dropped", "retransmits"]);
     for drop_ppm in DROP_PPM {
         let bench = opts.bench(BenchKind::Sctr);
-        let inst = bench.build();
-        let cfg = CmpConfig::paper_baseline().with_cores(bench.threads);
-        let mapping = LockMapping::uniform(LockAlgorithm::Glock, 1);
         let mut plan = FaultPlan::seeded(SWEEP_SEED);
         plan.gline = FaultRates::drops(drop_ppm);
-        let mut sim_opts = SimulationOptions {
-            fault_plan: Some(plan),
-            // Short window: a dead configuration should fail fast, and a
-            // live one always grants within a few thousand cycles.
-            watchdog_cycles: 200_000,
-            ..Default::default()
-        };
-        let cfg = crate::exp::apply_machine_overrides(bench.threads, cfg, &mut sim_opts);
-        // Before `Simulation::new`: components register their histograms
-        // in their constructors, so the session must already be open.
-        let session = crate::exp::open_stats_session(
-            &format!("SCTR_GLock_drop{drop_ppm}ppm_{}t", bench.threads),
-            &[
-                ("bench", "SCTR"),
-                ("lock", "GLock"),
-                ("drop_ppm", &drop_ppm.to_string()),
+        let spec = RunSpec {
+            tag: format!("SCTR_GLock_drop{drop_ppm}ppm_{}t", bench.threads),
+            meta: vec![
+                ("bench", "SCTR".to_string()),
+                ("lock", "GLock".to_string()),
+                ("drop_ppm", drop_ppm.to_string()),
             ],
-        );
-        let sim = Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, sim_opts);
+            options: SimulationOptions {
+                fault_plan: Some(plan),
+                // Short window: a dead configuration should fail fast, and
+                // a live one always grants within a few thousand cycles.
+                watchdog_cycles: 200_000,
+                ..Default::default()
+            },
+            ..RunSpec::bench(&bench, LockMapping::uniform(LockAlgorithm::Glock, 1))
+        };
         let rate = format!("{}%", drop_ppm as f64 / 10_000.0);
-        match sim.run() {
-            Ok((report, mem)) => {
-                (inst.verify)(mem.store()).expect("surviving a fault schedule means *correctly*");
-                if let Some(s) = session {
-                    s.finish(&report);
-                }
+        // Surviving a fault schedule means surviving it *correctly*.
+        match exp::run(opts, spec, || bench.build()).map(Finished::verified) {
+            Ok(report) => {
                 let g = report.glocks[0];
                 t.row([
                     rate,
@@ -72,9 +62,6 @@ pub fn run(opts: &ExpOptions) -> TextTable {
                 ]);
             }
             Err(e) => {
-                if let Some(s) = session {
-                    s.abort();
-                }
                 let g = e.snapshot().glocks.first().map(|g| g.stats).unwrap_or_default();
                 t.row([
                     rate,
@@ -97,7 +84,7 @@ mod tests {
 
     #[test]
     fn sweep_covers_survivable_and_dead_rates() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
         let t = run(&opts);
         assert_eq!(t.n_rows(), DROP_PPM.len());
         let csv = t.to_csv();

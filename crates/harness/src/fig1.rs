@@ -35,15 +35,15 @@ pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig1Row>) {
     let mut rows = Vec::new();
     let mut base = 0u64;
     for (name, mapping) in &configs {
-        let Some(r) = try_run_bench(&bench, mapping) else { continue };
+        let Some(r) = try_run_bench(opts, &bench, mapping) else { continue };
         if *name == "TATAS" {
-            base = r.report.cycles;
+            base = r.cycles;
         }
         rows.push(Fig1Row {
             config: name,
-            cycles: r.report.cycles,
-            normalized: r.report.cycles as f64 / base as f64,
-            lock_fraction: r.report.lock_fraction(),
+            cycles: r.cycles,
+            normalized: r.cycles as f64 / base as f64,
+            lock_fraction: r.lock_fraction(),
         });
     }
     let mut t = TextTable::new(
@@ -67,7 +67,7 @@ mod tests {
 
     #[test]
     fn shape_matches_the_paper() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
         let (_t, rows) = run(&opts);
         assert_eq!(rows.len(), 4);
         let by: std::collections::HashMap<_, _> =

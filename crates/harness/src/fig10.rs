@@ -41,9 +41,8 @@ pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig10Row>) {
     let mut rows = Vec::new();
     for kind in BenchKind::ALL {
         let bench = opts.bench(kind);
-        let Some(mcs) = try_run_bench(&bench, &mcs_mapping(&bench)) else { continue };
-        let Some(gl) = try_run_bench(&bench, &glock_mapping(&bench)) else { continue };
-        let (mcs, gl) = (mcs.report, gl.report);
+        let Some(mcs) = try_run_bench(opts, &bench, &mcs_mapping(&bench)) else { continue };
+        let Some(gl) = try_run_bench(opts, &bench, &glock_mapping(&bench)) else { continue };
         rows.push(Fig10Row {
             bench: kind,
             mcs_ed2p: mcs.ed2p,
@@ -95,7 +94,7 @@ mod tests {
 
     #[test]
     fn ed2p_improves_and_glock_hw_is_negligible() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
         let (_t, rows) = run(&opts);
         for r in &rows {
             let cap = if r.bench == BenchKind::Qsort { 1.6 } else { 1.0 };

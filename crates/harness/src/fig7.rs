@@ -29,8 +29,8 @@ pub fn full_matrix(opts: &ExpOptions) -> TextTable {
     for kind in BenchKind::ALL {
         let bench = opts.bench(kind);
         let mapping = LockMapping::uniform(LockAlgorithm::Tatas, bench.n_locks());
-        let Some(r) = try_run_bench(&bench, &mapping) else { continue };
-        for (i, per_grac) in r.report.lcr.iter().enumerate() {
+        let Some(r) = try_run_bench(opts, &bench, &mapping) else { continue };
+        for (i, per_grac) in r.lcr.iter().enumerate() {
             // omit all-zero rows (silent low-contention locks)
             if per_grac.iter().sum::<f64>() < 1e-9 {
                 continue;
@@ -50,8 +50,8 @@ pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig7Row>) {
     for kind in BenchKind::ALL {
         let bench = opts.bench(kind);
         let mapping = LockMapping::uniform(LockAlgorithm::Tatas, bench.n_locks());
-        let Some(r) = try_run_bench(&bench, &mapping) else { continue };
-        let summaries = summarize(&r.report.lcr);
+        let Some(r) = try_run_bench(opts, &bench, &mapping) else { continue };
+        let summaries = summarize(&r.lcr);
         if kind == BenchKind::Raytr {
             // The paper shows the two most contended locks and aggregates
             // the rest as RAYTR-LR.
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn micro_contention_shape() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
         let (_t, rows) = run(&opts);
         // SCTR: all mass on one lock, concentrated at high grAC.
         let sctr = rows.iter().find(|r| r.label == "SCTR").unwrap();

@@ -2,7 +2,7 @@
 //! Busy / Memory / Lock / Barrier breakdown and the AvgM / AvgA summary
 //! bars.
 
-use crate::exp::{glock_mapping, mcs_mapping, try_run_bench, ExpOptions, RunResult};
+use crate::exp::{glock_mapping, mcs_mapping, try_run_bench, ExpOptions};
 use glocks_sim_base::table::{norm, pct, stacked_bar, TextTable};
 use glocks_workloads::BenchKind;
 
@@ -22,23 +22,19 @@ impl Fig8Row {
     }
 }
 
-fn fracs(r: &RunResult) -> [f64; 4] {
-    r.report.avg_fractions()
-}
-
 pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig8Row>) {
     let mut rows = Vec::new();
     for kind in BenchKind::ALL {
         let bench = opts.bench(kind);
-        let Some(mcs) = try_run_bench(&bench, &mcs_mapping(&bench)) else { continue };
-        let Some(gl) = try_run_bench(&bench, &glock_mapping(&bench)) else { continue };
+        let Some(mcs) = try_run_bench(opts, &bench, &mcs_mapping(&bench)) else { continue };
+        let Some(gl) = try_run_bench(opts, &bench, &glock_mapping(&bench)) else { continue };
         rows.push(Fig8Row {
             bench: kind,
-            mcs_cycles: mcs.report.cycles,
-            gl_cycles: gl.report.cycles,
-            normalized: gl.report.cycles as f64 / mcs.report.cycles as f64,
-            mcs_fracs: fracs(&mcs),
-            gl_fracs: fracs(&gl),
+            mcs_cycles: mcs.cycles,
+            gl_cycles: gl.cycles,
+            normalized: gl.cycles as f64 / mcs.cycles as f64,
+            mcs_fracs: mcs.avg_fractions(),
+            gl_fracs: gl.avg_fractions(),
         });
     }
     let mut t = TextTable::new(
@@ -135,7 +131,7 @@ mod tests {
 
     #[test]
     fn glocks_win_everywhere_micros_win_more() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
         let (_t, rows) = run(&opts);
         for r in &rows {
             // QSORT's task DAG makes small-scale runs scheduling-noisy;

@@ -40,9 +40,9 @@ pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig9Row>) {
     let mut rows = Vec::new();
     for kind in BenchKind::ALL {
         let bench = opts.bench(kind);
-        let Some(mcs) = try_run_bench(&bench, &mcs_mapping(&bench)) else { continue };
-        let Some(gl) = try_run_bench(&bench, &glock_mapping(&bench)) else { continue };
-        let (mcs, gl) = (mcs.report.traffic, gl.report.traffic);
+        let Some(mcs) = try_run_bench(opts, &bench, &mcs_mapping(&bench)) else { continue };
+        let Some(gl) = try_run_bench(opts, &bench, &glock_mapping(&bench)) else { continue };
+        let (mcs, gl) = (mcs.traffic, gl.traffic);
         rows.push(Fig9Row {
             bench: kind,
             mcs,
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn glocks_cut_traffic() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
         let (_t, rows) = run(&opts);
         for r in &rows {
             assert!(

@@ -28,12 +28,12 @@
 //!
 //! [`SimError`]: glocks_sim::SimError
 
+use crate::exp::{self, ExpOptions, RunSpec};
 use glocks_locks::LockAlgorithm;
-use glocks_sim::{CheckerConfig, LockMapping, Simulation, SimulationOptions};
+use glocks_sim::{CheckerConfig, LockMapping, SimulationOptions};
 use glocks_sim_base::fault::{FaultPlan, FaultRates, HardFault, HardFaultTarget};
 use glocks_sim_base::rng::SplitMix64;
 use glocks_sim_base::table::TextTable;
-use glocks_sim_base::CmpConfig;
 use glocks_stats::json::{self, Json};
 use glocks_workloads::{BenchConfig, BenchKind};
 use std::collections::BTreeMap;
@@ -179,7 +179,7 @@ pub fn gen_case(seed: u64, index: usize) -> FuzzCase {
 
 /// Run one case to completion under the invariant checker and the
 /// correctness oracle. `None` = the case survived correctly.
-pub fn run_case(case: &FuzzCase, synthetic_bug: bool) -> Option<CaseFailure> {
+pub fn run_case(opts: &ExpOptions, case: &FuzzCase, synthetic_bug: bool) -> Option<CaseFailure> {
     if synthetic_bug && case.plan.has_repairs() {
         return Some(CaseFailure {
             kind: "synthetic-bug".to_string(),
@@ -192,36 +192,25 @@ pub fn run_case(case: &FuzzCase, synthetic_bug: bool) -> Option<CaseFailure> {
         scale: case.scale,
         seed: 0xB10C_5EED,
     };
-    let inst = bench.build();
-    let mapping = LockMapping::uniform(LockAlgorithm::Glock, 1);
-    let mut opts = SimulationOptions {
-        fault_plan: Some(case.plan.clone()),
-        checker: Some(CheckerConfig { every: CHECK_EVERY, ..Default::default() }),
-        ..Default::default()
+    let spec = RunSpec {
+        options: SimulationOptions {
+            fault_plan: Some(case.plan.clone()),
+            checker: Some(CheckerConfig { every: CHECK_EVERY, ..Default::default() }),
+            ..Default::default()
+        },
+        ..RunSpec::bench(&bench, LockMapping::uniform(LockAlgorithm::Glock, 1))
     };
-    opts.watchdog_cycles = crate::exp::effective_watchdog(&opts);
-    let cfg = crate::exp::apply_machine_overrides(
-        case.cores,
-        CmpConfig::paper_baseline().with_cores(case.cores),
-        &mut opts,
-    );
-    let sim = Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, opts);
-    match sim.run() {
-        Ok((report, mem)) => {
-            if let Err(e) = (inst.verify)(mem.store()) {
-                return Some(CaseFailure {
-                    kind: "verification-mismatch".to_string(),
-                    detail: e,
-                });
+    let mismatch = |detail| Some(CaseFailure { kind: "verification-mismatch".to_string(), detail });
+    match exp::run(opts, spec, || bench.build()) {
+        Ok(f) => {
+            if let Err(e) = (f.verify)(f.mem.store()) {
+                return mismatch(e);
             }
-            if report.acquires[0] != case.scale {
-                return Some(CaseFailure {
-                    kind: "verification-mismatch".to_string(),
-                    detail: format!(
-                        "{} acquires recorded, expected {}",
-                        report.acquires[0], case.scale
-                    ),
-                });
+            if f.report.acquires[0] != case.scale {
+                return mismatch(format!(
+                    "{} acquires recorded, expected {}",
+                    f.report.acquires[0], case.scale
+                ));
             }
             None
         }
@@ -323,7 +312,7 @@ fn candidates(c: &FuzzCase) -> Vec<FuzzCase> {
 /// Greedy delta debugging: repeatedly take the first candidate reduction
 /// that still reproduces failure `kind`, to a fixpoint. Returns the
 /// minimal case (possibly `case` itself).
-pub fn shrink(case: &FuzzCase, kind: &str, synthetic_bug: bool) -> FuzzCase {
+pub fn shrink(opts: &ExpOptions, case: &FuzzCase, kind: &str, synthetic_bug: bool) -> FuzzCase {
     let mut best = case.clone();
     let mut evals = 0usize;
     'outer: loop {
@@ -333,7 +322,7 @@ pub fn shrink(case: &FuzzCase, kind: &str, synthetic_bug: bool) -> FuzzCase {
             }
             evals += 1;
             debug_assert!(cand.plan.validate().is_ok(), "shrinker produced an invalid plan");
-            if run_case(&cand, synthetic_bug).is_some_and(|f| f.kind == kind) {
+            if run_case(opts, &cand, synthetic_bug).is_some_and(|f| f.kind == kind) {
                 best = cand;
                 continue 'outer;
             }
@@ -492,11 +481,15 @@ pub fn case_from_json(text: &str) -> Result<FuzzCase, String> {
 
 /// Load and re-run a repro file. `Ok(None)` = the case now passes;
 /// `Ok(Some(f))` = it still fails (with the live failure kind).
-pub fn replay_file(path: &str, synthetic_bug: bool) -> Result<Option<CaseFailure>, String> {
+pub fn replay_file(
+    opts: &ExpOptions,
+    path: &str,
+    synthetic_bug: bool,
+) -> Result<Option<CaseFailure>, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let case = case_from_json(&text)?;
-    Ok(run_case(&case, synthetic_bug))
+    Ok(run_case(opts, &case, synthetic_bug))
 }
 
 fn rates_cell(r: &FaultRates) -> String {
@@ -508,7 +501,7 @@ fn rates_cell(r: &FaultRates) -> String {
 
 /// Run a whole campaign: generate, run, shrink failures, and (optionally)
 /// write their repro files into `out_dir`.
-pub fn run(cfg: &FuzzConfig) -> FuzzReport {
+pub fn run(opts: &ExpOptions, cfg: &FuzzConfig) -> FuzzReport {
     let mut t = TextTable::new(format!(
         "Fault-plan fuzzer — {} seeded cases in the survivable envelope (seed {:#x})",
         cfg.plans, cfg.seed
@@ -527,10 +520,10 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
     for i in 0..cfg.plans {
         let case = gen_case(cfg.seed, i);
         let repairs = case.plan.hard.iter().filter(|h| h.repair_at.is_some()).count();
-        let outcome = match run_case(&case, cfg.synthetic_bug) {
+        let outcome = match run_case(opts, &case, cfg.synthetic_bug) {
             None => "ok".to_string(),
             Some(f) => {
-                let minimized = shrink(&case, &f.kind, cfg.synthetic_bug);
+                let minimized = shrink(opts, &case, &f.kind, cfg.synthetic_bug);
                 let repro = case_to_json(&minimized, &f.kind, cfg.seed, i);
                 let path = cfg.out_dir.as_ref().map(|dir| {
                     let _ = std::fs::create_dir_all(dir);
@@ -597,7 +590,7 @@ mod tests {
     #[test]
     fn small_campaign_survives_the_envelope() {
         let cfg = FuzzConfig { seed: 0xF1E1D, plans: 4, ..Default::default() };
-        let rep = run(&cfg);
+        let rep = run(&ExpOptions::default(), &cfg);
         assert_eq!(rep.table.n_rows(), 4);
         assert!(
             rep.failures.is_empty(),
@@ -613,10 +606,11 @@ mod tests {
             .find(|&i| gen_case(seed, i).plan.has_repairs())
             .expect("some generated case carries a repair window");
         let case = gen_case(seed, idx);
-        let f = run_case(&case, true).expect("the hook classifies repair plans as failing");
+        let opts = ExpOptions::default();
+        let f = run_case(&opts, &case, true).expect("the hook classifies repair plans as failing");
         assert_eq!(f.kind, "synthetic-bug");
 
-        let min = shrink(&case, &f.kind, true);
+        let min = shrink(&opts, &case, &f.kind, true);
         assert_eq!(min.cores, 4, "the machine shrinks to the smallest CMP");
         assert_eq!(min.scale, SCALE_LADDER[0], "the workload shrinks to the ladder floor");
         assert_eq!(min.plan.hard.len(), 1, "a single hard fault suffices");
@@ -631,7 +625,7 @@ mod tests {
         let text = case_to_json(&min, &f.kind, seed, idx);
         let back = case_from_json(&text).expect("repro parses back");
         assert_eq!(back, min, "the repro round-trips the exact minimized case");
-        let again = run_case(&back, true).expect("the parsed repro still reproduces");
+        let again = run_case(&opts, &back, true).expect("the parsed repro still reproduces");
         assert_eq!(again.kind, "synthetic-bug");
     }
 

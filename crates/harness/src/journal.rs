@@ -87,8 +87,14 @@ impl RunError {
         RunError { kind: e.kind().to_string(), transient: e.is_transient(), detail: e.to_string() }
     }
 
+    /// A deterministic failure that is not a `SimError`: a wrong answer, a
+    /// refused snapshot, a fuzzer finding.
+    pub fn failed(kind: &str, detail: &str) -> Self {
+        RunError { kind: kind.to_string(), transient: false, detail: detail.to_string() }
+    }
+
     pub fn panic(detail: &str) -> Self {
-        RunError { kind: "panic".to_string(), transient: false, detail: detail.to_string() }
+        RunError::failed("panic", detail)
     }
 }
 

@@ -25,4 +25,4 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 
-pub use exp::{run_bench, run_bench_with, try_run_bench, ExpOptions, RunResult};
+pub use exp::{run_bench, try_run_bench, ExpOptions, RunSpec};

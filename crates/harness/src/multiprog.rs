@@ -3,48 +3,38 @@
 //! statically split — one per program. Compared against all-MCS for the
 //! highly-contended locks.
 
-use crate::exp::ExpOptions;
+use crate::exp::{self, ExpOptions, RunSpec};
 use glocks_locks::LockAlgorithm;
-use glocks_sim::{LockMapping, SimReport, Simulation, SimulationOptions};
+use glocks_sim::{LockMapping, SimReport, SimulationOptions};
 use glocks_sim_base::table::{norm, TextTable};
 use glocks_sim_base::CmpConfig;
 use glocks_workloads::multiprog::MultiprogConfig;
-use glocks_workloads::{BenchConfig, BenchKind};
+use glocks_workloads::BenchKind;
 
-fn run(mp: &MultiprogConfig, hc_algo: LockAlgorithm) -> SimReport {
-    let inst = mp.build();
-    let cfg = CmpConfig::paper_baseline().with_cores(mp.total_threads());
+fn run(opts: &ExpOptions, mp: &MultiprogConfig, hc_algo: LockAlgorithm) -> SimReport {
     // Static sharing: one GLock per program's hottest lock (or MCS).
     let hc = if hc_algo == LockAlgorithm::Glock {
         mp.statically_shared_hc()
     } else {
         mp.hc_locks()
     };
-    let mapping = LockMapping::hybrid(&hc, hc_algo, mp.n_locks());
-    let mut opts = SimulationOptions {
-        barrier_partitions: Some(mp.barrier_partitions()),
-        ..Default::default()
-    };
-    let cfg = crate::exp::apply_machine_overrides(mp.total_threads(), cfg, &mut opts);
-    let session = crate::exp::open_stats_session(
-        &format!(
+    let spec = RunSpec {
+        tag: format!(
             "{}+{}_{}_{}t",
             mp.a.kind.name(),
             mp.b.kind.name(),
             hc_algo.name(),
             mp.total_threads()
         ),
-        &[("lock", hc_algo.name())],
-    );
-    let sim = Simulation::new(&cfg, &mapping, inst.workloads, &inst.init, opts);
-    let (report, mem) = sim.run().expect("multiprogramming run wedged");
-    if let Err(e) = (inst.verify)(mem.store()) {
-        panic!("multiprog under {}: {e}", hc_algo.name());
-    }
-    if let Some(s) = session {
-        s.finish(&report);
-    }
-    report
+        meta: vec![("lock", hc_algo.name().to_string())],
+        cfg: CmpConfig::paper_baseline().with_cores(mp.total_threads()),
+        mapping: LockMapping::hybrid(&hc, hc_algo, mp.n_locks()),
+        options: SimulationOptions {
+            barrier_partitions: Some(mp.barrier_partitions()),
+            ..Default::default()
+        },
+    };
+    exp::run(opts, spec, || mp.build()).expect("multiprogramming run wedged").verified()
 }
 
 /// Completion time of one program = the last finish among its cores.
@@ -73,11 +63,11 @@ pub fn run_study(opts: &ExpOptions) -> TextTable {
     ]);
     for (ka, kb) in pairs {
         let mp = MultiprogConfig {
-            a: if opts.quick { BenchConfig::smoke(ka, half) } else { BenchConfig::paper(ka, half) },
-            b: if opts.quick { BenchConfig::smoke(kb, half) } else { BenchConfig::paper(kb, half) },
+            a: opts.bench_on(ka, half),
+            b: opts.bench_on(kb, half),
         };
-        let mcs = run(&mp, LockAlgorithm::Mcs);
-        let gl = run(&mp, LockAlgorithm::Glock);
+        let mcs = run(opts, &mp, LockAlgorithm::Mcs);
+        let gl = run(opts, &mp, LockAlgorithm::Glock);
         let (a_mcs, b_mcs) = (
             program_time(&mcs, 0..half),
             program_time(&mcs, half..2 * half),
@@ -99,6 +89,7 @@ pub fn run_study(opts: &ExpOptions) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glocks_workloads::BenchConfig;
 
     #[test]
     fn both_programs_verify_and_benefit() {
@@ -107,8 +98,9 @@ mod tests {
             a: BenchConfig::smoke(BenchKind::Sctr, half),
             b: BenchConfig::smoke(BenchKind::Prco, half),
         };
-        let mcs = run(&mp, LockAlgorithm::Mcs);
-        let gl = run(&mp, LockAlgorithm::Glock);
+        let opts = ExpOptions::default();
+        let mcs = run(&opts, &mp, LockAlgorithm::Mcs);
+        let gl = run(&opts, &mp, LockAlgorithm::Glock);
         let a_gain = program_time(&gl, 0..half) as f64 / program_time(&mcs, 0..half) as f64;
         let b_gain =
             program_time(&gl, half..2 * half) as f64 / program_time(&mcs, half..2 * half) as f64;
@@ -121,7 +113,7 @@ mod tests {
 
     #[test]
     fn study_renders() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
         let t = run_study(&opts);
         assert_eq!(t.n_rows(), 3);
     }

@@ -15,9 +15,9 @@
 //! affordable: cores sleeping in exponential backoff and long lock
 //! hand-off lulls are skipped over rather than ticked.
 
-use crate::exp::{set_mesh_override, try_run_bench, ExpOptions, RunResult};
+use crate::exp::{self, ExpOptions, Finished, RunSpec};
 use glocks_locks::LockAlgorithm;
-use glocks_sim::LockMapping;
+use glocks_sim::{LockMapping, SimReport};
 use glocks_sim_base::table::TextTable;
 use glocks_sim_base::Mesh2D;
 use glocks_workloads::BenchKind;
@@ -41,13 +41,13 @@ pub struct ScaleRow {
     pub vs_glock: f64,
 }
 
-fn run_at(opts: &ExpOptions, mesh: Mesh2D, algo: LockAlgorithm) -> Option<RunResult> {
+/// SCTR under `algo` on `mesh`, whatever `--mesh` says.
+fn run_at(opts: &ExpOptions, mesh: Mesh2D, algo: LockAlgorithm) -> Option<SimReport> {
     let bench = opts.bench_on(BenchKind::Sctr, mesh.len());
     let mapping = LockMapping::hybrid(&bench.hc_locks(), algo, bench.n_locks());
-    set_mesh_override(Some(mesh));
-    let r = try_run_bench(&bench, &mapping);
-    set_mesh_override(None);
-    r
+    let mut spec = RunSpec::bench(&bench, mapping);
+    spec.cfg = spec.cfg.with_mesh(mesh);
+    exp::try_run(opts, spec, || bench.build()).map(Finished::verified)
 }
 
 pub fn run(opts: &ExpOptions) -> (TextTable, Vec<ScaleRow>) {
@@ -56,13 +56,13 @@ pub fn run(opts: &ExpOptions) -> (TextTable, Vec<ScaleRow>) {
         let mesh = Mesh2D::new(w, h);
         let glock_cycles = match run_at(opts, mesh, LockAlgorithm::Glock) {
             Some(r) => {
-                let cycles = r.report.cycles;
+                let cycles = r.cycles;
                 rows.push(ScaleRow {
                     cores: mesh.len(),
                     mesh: (w, h),
                     algo: LockAlgorithm::Glock,
                     cycles,
-                    mean_wait: r.report.mean_wait[0],
+                    mean_wait: r.mean_wait[0],
                     vs_glock: 1.0,
                 });
                 cycles as f64
@@ -75,9 +75,9 @@ pub fn run(opts: &ExpOptions) -> (TextTable, Vec<ScaleRow>) {
                     cores: mesh.len(),
                     mesh: (w, h),
                     algo,
-                    cycles: r.report.cycles,
-                    mean_wait: r.report.mean_wait[0],
-                    vs_glock: r.report.cycles as f64 / glock_cycles,
+                    cycles: r.cycles,
+                    mean_wait: r.mean_wait[0],
+                    vs_glock: r.cycles as f64 / glock_cycles,
                 });
             }
         }
@@ -106,18 +106,22 @@ mod tests {
     /// counts inside a hard wall-clock budget.
     #[test]
     fn glock_completes_on_1024_core_mesh() {
-        let opts = ExpOptions { quick: true, threads: 1024 };
+        let opts = ExpOptions {
+            quick: true,
+            threads: 1024,
+            mesh: Some(Mesh2D::new(32, 32)),
+            ..Default::default()
+        };
         let bench = opts.bench_on(BenchKind::Sctr, 1024);
         let mapping = LockMapping::hybrid(&bench.hc_locks(), LockAlgorithm::Glock, 1);
-        set_mesh_override(Some(Mesh2D::new(32, 32)));
         let started = std::time::Instant::now();
-        let r = crate::exp::run_bench(&bench, &mapping).expect("1024-core GLock run completes");
-        set_mesh_override(None);
+        let r = crate::exp::run_bench(&opts, &bench, &mapping)
+            .expect("1024-core GLock run completes");
         // Every SCTR iteration is exactly one acquire of lock 0; shares sum
         // to the configured total, so the count is exact, not approximate.
-        assert_eq!(r.report.acquires[0], bench.scale);
-        assert_eq!(r.threads, 1024);
-        assert!(r.report.cycles > 0);
+        assert_eq!(r.acquires[0], bench.scale);
+        assert_eq!(r.finished_at.len(), 1024);
+        assert!(r.cycles > 0);
         // CI smoke budget: the event-driven core must keep a thousand-core
         // machine interactive. Generous to absorb slow shared runners.
         assert!(
@@ -131,15 +135,15 @@ mod tests {
     /// paper's scaling argument, pushed past its own 32-core evaluation.
     #[test]
     fn glock_beats_mcs_at_256_cores() {
-        let opts = ExpOptions { quick: true, threads: 256 };
+        let opts = ExpOptions { quick: true, threads: 256, ..Default::default() };
         let mesh = Mesh2D::new(16, 16);
         let gl = run_at(&opts, mesh, LockAlgorithm::Glock).expect("GLock run");
         let mcs = run_at(&opts, mesh, LockAlgorithm::Mcs).expect("MCS run");
         assert!(
-            gl.report.cycles as f64 <= mcs.report.cycles as f64 * 1.03,
+            gl.cycles as f64 <= mcs.cycles as f64 * 1.03,
             "GLock {} vs MCS {} cycles at 256 cores",
-            gl.report.cycles,
-            mcs.report.cycles
+            gl.cycles,
+            mcs.cycles
         );
     }
 }

@@ -20,15 +20,16 @@
 //!   network death mid-run ([`crate::chaos`]'s kill schedule) and the row
 //!   reports the p999 a client saw *through* the GLock→TATAS failover.
 
-use crate::exp::{effective_watchdog, ExpOptions};
+use crate::exp::{self, ExpOptions, RunSpec};
 use glocks_arrivals::tenant::{mix_init, mix_workloads};
 use glocks_arrivals::{ArrivalProcess, TenantSpec};
 use glocks_locks::LockAlgorithm;
-use glocks_sim::{LockMapping, Simulation, SimulationOptions};
+use glocks_sim::{LockMapping, SimulationOptions};
 use glocks_sim_base::fault::FaultPlan;
 use glocks_sim_base::table::TextTable;
 use glocks_sim_base::{Addr, CmpConfig, LockId};
 use glocks_stats::StatsDump;
+use glocks_workloads::BenchInstance;
 
 /// Seed for the published sweep: arrivals derive from it through the
 /// `ARRIVAL_DOMAIN` stream split, so rows reproduce bit-exactly.
@@ -78,54 +79,42 @@ fn service_run(
     plan: Option<FaultPlan>,
 ) -> Option<(StatsDump, u64)> {
     let threads = opts.threads;
-    let cfg = CmpConfig::paper_baseline().with_cores(threads);
     let n_locks = tenants.iter().map(|t| usize::from(t.lock.0) + 1).max().unwrap();
-    let mapping = LockMapping::uniform(algo, n_locks);
-    let mut sim_opts = SimulationOptions { fault_plan: plan, ..Default::default() };
-    sim_opts.watchdog_cycles = effective_watchdog(&sim_opts);
-    let cfg = crate::exp::apply_machine_overrides(threads, cfg, &mut sim_opts);
-    // Before any `ServiceWorkload::new`: the workloads register their
-    // histograms in their constructors, so the session must be open first.
-    let session = crate::exp::open_stats_session(
-        &format!("{}_{scenario}_{threads}t", algo.name()),
-        &[("lock", algo.name()), ("scenario", scenario), ("offered", tag)],
-    );
-    if session.is_none() {
-        glocks_stats::enable(glocks_stats::StatsConfig::default());
+    let spec = RunSpec {
+        tag: format!("{}_{scenario}_{threads}t", algo.name()),
+        meta: vec![
+            ("lock", algo.name().to_string()),
+            ("scenario", scenario.to_string()),
+            ("offered", tag.to_string()),
+        ],
+        cfg: CmpConfig::paper_baseline().with_cores(threads),
+        mapping: LockMapping::uniform(algo, n_locks),
+        options: SimulationOptions { fault_plan: plan, ..Default::default() },
+    };
+    // Without `--stats-json`, `exp::run` leaves the registry alone, so
+    // the run still records the quantiles it is here for.
+    glocks_stats::enable(glocks_stats::StatsConfig::default());
+    let finished = exp::try_run(opts, spec, || BenchInstance {
+        workloads: mix_workloads(SERVICE_SEED, tenants, threads),
+        init: mix_init(tenants),
+        // Checked below against the completed counts in the dump.
+        verify: Box::new(|_| Ok(())),
+    });
+    glocks_stats::disable();
+    let f = finished?;
+    let dump = f.report.stats.clone().expect("stats were enabled");
+    // Every experiment doubles as a correctness test: each tenant's shared
+    // word counts exactly its completed requests.
+    for (k, t) in tenants.iter().enumerate() {
+        let done = dump.counters.get(&format!("service.t{k}.completed")).copied();
+        assert_eq!(
+            Some(f.mem.store().load(t.data)),
+            done,
+            "mutual exclusion violated for tenant {k} under {}",
+            algo.name()
+        );
     }
-    let workloads = mix_workloads(SERVICE_SEED, tenants, threads);
-    let init = mix_init(tenants);
-    let sim = Simulation::new(&cfg, &mapping, workloads, &init, sim_opts);
-    match sim.run() {
-        Ok((report, mem)) => {
-            let dump = report.stats.clone().expect("stats were enabled");
-            // Every experiment doubles as a correctness test: each
-            // tenant's shared word counts exactly its completed requests.
-            for (k, t) in tenants.iter().enumerate() {
-                let done = dump.counters.get(&format!("service.t{k}.completed")).copied();
-                assert_eq!(
-                    Some(mem.store().load(t.data)),
-                    done,
-                    "mutual exclusion violated for tenant {k} under {}",
-                    algo.name()
-                );
-            }
-            match session {
-                Some(s) => s.finish(&report),
-                None => glocks_stats::disable(),
-            }
-            Some((dump, report.cycles))
-        }
-        Err(e) => {
-            match session {
-                Some(s) => s.abort(),
-                None => glocks_stats::disable(),
-            }
-            crate::exp::record_sim_error(&e);
-            eprintln!("[service] {} at {tag} wedged ({}); skipping", algo.name(), e.kind());
-            None
-        }
-    }
+    Some((dump, f.report.cycles))
 }
 
 fn slo(dump: &StatsDump, key: &str) -> String {
@@ -253,7 +242,7 @@ mod tests {
 
     #[test]
     fn sweep_axis_is_monotone_and_shows_the_knee() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
         let t = run(&opts);
         assert_eq!(t.n_rows(), BACKENDS.len() * GAPS.len());
         let rows: Vec<Vec<String>> = t
@@ -290,7 +279,7 @@ mod tests {
 
     #[test]
     fn chaos_row_reports_tails_through_the_failover() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
         let t = run_studies(&opts);
         assert_eq!(t.n_rows(), 2);
         let rows: Vec<Vec<String>> = t

@@ -4,7 +4,8 @@
 //! Each run executes under `catch_unwind`, so one bad configuration no
 //! longer kills the sweep — the panic becomes a structured `failed` row
 //! and every other run proceeds. Failures the run *reports* (rather than
-//! panics with) are classified by [`RunError::transient`]: transient
+//! panics with), and a [`RunError`] it unwinds with (a wall-clock
+//! timeout), are classified by [`RunError::transient`]: transient
 //! failures (wall-clock timeouts — host load, not simulated behavior) are
 //! retried with exponential backoff and flagged `flaky` if a retry
 //! succeeds; deterministic failures are recorded once, because rerunning a
@@ -196,8 +197,14 @@ where
 
         let (candidate, output, errors, artifacts) = match outcome {
             Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                (RunStatus::Failed, String::new(), vec![RunError::panic(&msg)], Vec::new())
+                // `exp::run` unwinds with the `RunError` of a run that
+                // overstayed its wall-clock budget: that ends the attempt.
+                let error = match payload.downcast::<RunError>() {
+                    Ok(e) => *e,
+                    Err(payload) => RunError::panic(&panic_message(payload.as_ref())),
+                };
+                let status = if error.transient { RunStatus::Wedged } else { RunStatus::Failed };
+                (status, String::new(), vec![error], Vec::new())
             }
             Ok(out) => {
                 let transient = out.errors.iter().any(|e| e.transient);
@@ -333,6 +340,26 @@ mod tests {
         assert_eq!(rows[0].status, RunStatus::Wedged);
         assert_eq!(rows[0].attempts, 2, "one retry was attempted");
         assert_eq!(rows[0].errors.len(), 2, "every attempt's error is recorded");
+        assert_eq!(exit_code(&rows), EXIT_WEDGED);
+    }
+
+    #[test]
+    fn unwound_timeout_is_a_transient_wedge() {
+        let rows = run_sweep(
+            &ids(&["slow"]),
+            &cfg(None, false),
+            |_, _| {
+                std::panic::resume_unwind(Box::new(RunError {
+                    kind: "wall-clock-exceeded".into(),
+                    transient: true,
+                    detail: "overstayed".into(),
+                }))
+            },
+            |_| {},
+        );
+        assert_eq!(rows[0].status, RunStatus::Wedged);
+        assert_eq!(rows[0].attempts, 2, "a timeout is retried like any transient wedge");
+        assert!(rows[0].errors.iter().all(|e| e.kind == "wall-clock-exceeded" && e.transient));
         assert_eq!(exit_code(&rows), EXIT_WEDGED);
     }
 

@@ -23,10 +23,10 @@ pub fn run(opts: &ExpOptions) -> TextTable {
         // The paper's post-mortem runs every lock as Simple Lock with the
         // test-and-test&set optimization.
         let mapping = LockMapping::uniform(LockAlgorithm::Tatas, bench.n_locks());
-        let Some(r) = try_run_bench(&bench, &mapping) else { continue };
+        let Some(r) = try_run_bench(opts, &bench, &mapping) else { continue };
         // Footnote-3 criterion: substantial cycle weight and most mass at
         // grACs comparable to the core count.
-        let hc_measured = classify_hc(&r.report.lcr, bench.threads / 4, 0.35, 0.02);
+        let hc_measured = classify_hc(&r.lcr, bench.threads / 4, 0.35, 0.02);
         t.row([
             kind.name().to_string(),
             kind.input_size_label().to_string(),
@@ -45,7 +45,7 @@ mod tests {
 
     #[test]
     fn renders_all_benchmarks() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
         let t = run(&opts);
         assert_eq!(t.n_rows(), 8);
         let s = t.render();

@@ -19,15 +19,17 @@ pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Table4Row>) {
         // Serial reference: one core (lock implementation is irrelevant
         // without contention; use the MCS configuration).
         let serial_bench = opts.bench_on(kind, 1);
-        let Some(serial) = try_run_bench(&serial_bench, &mcs_mapping(&serial_bench)) else { continue };
-        let t1 = serial.report.cycles as f64;
+        let Some(serial) = try_run_bench(opts, &serial_bench, &mcs_mapping(&serial_bench)) else {
+            continue;
+        };
+        let t1 = serial.cycles as f64;
         for (version, use_gl) in [("MCS", false), ("GL", true)] {
             let mut speedups = Vec::new();
             for &cores in &CORE_COUNTS {
                 let bench = opts.bench_on(kind, cores);
                 let mapping = if use_gl { glock_mapping(&bench) } else { mcs_mapping(&bench) };
-                match try_run_bench(&bench, &mapping) {
-                    Some(r) => speedups.push(t1 / r.report.cycles as f64),
+                match try_run_bench(opts, &bench, &mapping) {
+                    Some(r) => speedups.push(t1 / r.cycles as f64),
                     None => speedups.push(f64::NAN),
                 }
             }
@@ -55,7 +57,7 @@ mod tests {
 
     #[test]
     fn scaling_shape_matches_the_paper() {
-        let opts = ExpOptions { quick: true, threads: 8 };
+        let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
         let (_t, rows) = run(&opts);
         assert_eq!(rows.len(), 6);
         for pair in rows.chunks(2) {

@@ -50,4 +50,8 @@ fn malformed_or_missing_flag_values_are_usage_errors() {
     assert_usage_error(&["fig8", "--threads"], "--threads needs a value");
     assert_usage_error(&["fuzz", "--seed", "0xZZ"], "--seed needs a number");
     assert_usage_error(&["fig8", "--jobs", "0"], "--jobs needs a number >= 1");
+    assert_usage_error(
+        &["table3", "--quick", "--threads", "8", "--timeout-secs", "0", "--retries", "0"],
+        "--timeout-secs needs a number of seconds >= 1",
+    );
 }

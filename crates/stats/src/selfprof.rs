@@ -2,14 +2,13 @@
 //!
 //! A [`Stopwatch`] measures wall time around a phase of host work; the
 //! resulting [`BenchRecord`]s (wall seconds, simulated cycles, simulated
-//! cycles per wall second) are collected thread-locally and written out as
-//! `BENCH_*.json`. These files intentionally contain wall-clock numbers and
+//! cycles per wall second) are kept by the caller and written out as
+//! `BENCH_*.json` by [`bench_json`]. These files intentionally contain wall-clock numbers and
 //! are therefore *not* part of the byte-identical stats dumps — they are
 //! the evidence for "stats-off runs at pre-PR speed" and for tracking
 //! simulator throughput across PRs.
 
 use crate::json::Json;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -36,10 +35,6 @@ impl BenchRecord {
     }
 }
 
-thread_local! {
-    static RECORDS: RefCell<Vec<BenchRecord>> = const { RefCell::new(Vec::new()) };
-}
-
 /// A running wall-clock timer for one phase.
 pub struct Stopwatch {
     label: String,
@@ -56,21 +51,14 @@ impl Stopwatch {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Stop the watch and record the phase in this thread's profile.
+    /// Stop the watch: the phase's record.
     pub fn stop(self, sim_cycles: u64) -> BenchRecord {
-        let rec = BenchRecord {
+        BenchRecord {
             label: self.label,
             wall_s: self.started.elapsed().as_secs_f64(),
             sim_cycles,
-        };
-        RECORDS.with(|r| r.borrow_mut().push(rec.clone()));
-        rec
+        }
     }
-}
-
-/// Take all records collected on this thread (oldest first).
-pub fn drain() -> Vec<BenchRecord> {
-    RECORDS.with(|r| std::mem::take(&mut *r.borrow_mut()))
 }
 
 /// Encode records as a `BENCH_*.json` document.
@@ -114,17 +102,13 @@ mod tests {
     use crate::json;
 
     #[test]
-    fn stopwatch_records_into_thread_profile() {
-        drain(); // isolate from other tests on this thread
+    fn stopwatch_records_one_phase() {
         let w = Stopwatch::start("phase_a");
         assert!(w.elapsed_s() >= 0.0);
         let rec = w.stop(1_000_000);
         assert_eq!(rec.label, "phase_a");
         assert!(rec.wall_s >= 0.0);
-        let recs = drain();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0], rec);
-        assert!(drain().is_empty(), "drain takes ownership");
+        assert_eq!(rec.sim_cycles, 1_000_000);
     }
 
     #[test]
