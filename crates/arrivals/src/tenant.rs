@@ -66,29 +66,6 @@ pub fn mix_init(tenants: &[TenantSpec]) -> Vec<(Addr, u64)> {
     tenants.iter().map(|t| (t.data, 0)).collect()
 }
 
-/// Expected final value of each tenant's data word: completed requests of
-/// that tenant (drops never enter the critical section). Returns
-/// `(data, expected)` pairs for a fleet of per-core workloads built by
-/// [`mix_workloads`].
-pub fn mix_expected(
-    tenants: &[TenantSpec],
-    workloads: &[Box<ServiceWorkload>],
-) -> Vec<(Addr, u64)> {
-    tenants
-        .iter()
-        .enumerate()
-        .map(|(t, spec)| {
-            let total: u64 = workloads
-                .iter()
-                .enumerate()
-                .filter(|(core, _)| core % tenants.len() == t)
-                .map(|(_, w)| w.completed())
-                .sum();
-            (spec.data, total)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

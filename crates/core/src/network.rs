@@ -229,14 +229,6 @@ impl GlockNetwork {
         Rc::clone(&self.regs)
     }
 
-    /// Override the loss-recovery retransmission timing. This also arms
-    /// the timers; pass [`RetryPolicy::DISABLED`] to force them off even
-    /// under faults.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-        self.timers_armed = policy.enabled();
-    }
-
     /// Subject this network's G-lines to a deterministic fault schedule.
     /// Arms the loss-recovery timers: a lossy wire needs retransmission
     /// to stay live, whereas a fault-free network keeps them disarmed so

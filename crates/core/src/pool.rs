@@ -135,10 +135,6 @@ impl GlockPool {
         })
     }
 
-    pub fn n_physical(&self) -> usize {
-        self.regs.len()
-    }
-
     /// The register file of physical lock `k`.
     pub fn regs(&self, k: usize) -> &GlockRegisters {
         &self.regs[k]

@@ -230,34 +230,46 @@ pub fn barrier_study(opts: &ExpOptions) -> TextTable {
 /// each component family ×4 and recompute SCTR's normalized ED²P. The
 /// GL/MCS ratio must stay clearly below 1 regardless — the reduction comes
 /// from event-count and delay ratios, not from the absolute constants.
+///
+/// The constants only enter the post-run accounting, so SCTR runs once
+/// per lock and each family re-accounts those two reports. A family's
+/// constants feed exactly its own components of the `EnergyReport`, and
+/// ×4 is exact in binary floating point, so scaling the accounted
+/// components gives the same bits as simulating with scaled constants.
 pub fn energy_sensitivity(opts: &ExpOptions) -> TextTable {
-    use glocks_energy::EnergyModel;
+    use glocks_energy::EnergyReport;
     let mut t = TextTable::new("Ablation — ED2P sensitivity to energy constants (SCTR)")
         .header(["scaled component (x4)", "GL/MCS ED2P"]);
     let bench = opts.bench(BenchKind::Sctr);
     let cfg = CmpConfig::paper_baseline().with_cores(opts.threads);
-    let variants: Vec<(&str, EnergyModel)> = {
-        let b = EnergyModel::paper_baseline();
-        vec![
-            ("baseline", b),
-            ("core", EnergyModel { instr_pj: b.instr_pj * 4.0, core_cycle_pj: b.core_cycle_pj * 4.0, ..b }),
-            ("caches", EnergyModel { l1_access_pj: b.l1_access_pj * 4.0, l2_access_pj: b.l2_access_pj * 4.0, dir_txn_pj: b.dir_txn_pj * 4.0, ..b }),
-            ("memory", EnergyModel { mem_access_pj: b.mem_access_pj * 4.0, ..b }),
-            ("network", EnergyModel { router_hop_pj: b.router_hop_pj * 4.0, link_byte_pj: b.link_byte_pj * 4.0, ..b }),
-            ("G-lines", EnergyModel { gline_signal_pj: b.gline_signal_pj * 4.0, glock_ctrl_cycle_pj: b.glock_ctrl_cycle_pj * 4.0, ..b }),
-            ("leakage", EnergyModel { tile_leak_pj: b.tile_leak_pj * 4.0, ..b }),
-        ]
+    let run = |algo: LockAlgorithm| {
+        let tag = format!("energy_{}_{}t", algo.name(), bench.threads);
+        let mapping = LockMapping::uniform(algo, bench.n_locks());
+        run_tagged(opts, tag, &bench, cfg, mapping, SimulationOptions::default())
+            .expect("energy-sensitivity ablation wedged")
     };
-    for (name, model) in variants {
-        let run = |algo: LockAlgorithm| {
-            let tag = format!("energy_{name}_{}_{}t", algo.name(), bench.threads);
-            let options = SimulationOptions { energy_model: model, ..Default::default() };
-            let mapping = LockMapping::uniform(algo, bench.n_locks());
-            run_tagged(opts, tag, &bench, cfg, mapping, options)
-                .expect("energy-sensitivity ablation wedged")
-                .ed2p
+    let (gl, mcs) = (run(LockAlgorithm::Glock), run(LockAlgorithm::Mcs));
+    // Multiplies one family's components of an accounted energy by 4.
+    type Scale = fn(&mut EnergyReport);
+    let families: [(&str, Scale); 7] = [
+        ("baseline", |_| {}),
+        ("core", |e| e.core_pj *= 4.0),
+        ("caches", |e| {
+            e.l1_pj *= 4.0;
+            e.l2_dir_pj *= 4.0;
+        }),
+        ("memory", |e| e.mem_pj *= 4.0),
+        ("network", |e| e.noc_pj *= 4.0),
+        ("G-lines", |e| e.glock_pj *= 4.0),
+        ("leakage", |e| e.leak_pj *= 4.0),
+    ];
+    for (name, scale) in families {
+        let ed2p = |r: &SimReport| {
+            let mut energy = r.energy;
+            scale(&mut energy);
+            energy.ed2p(r.cycles)
         };
-        let ratio = run(LockAlgorithm::Glock) / run(LockAlgorithm::Mcs);
+        let ratio = ed2p(&gl) / ed2p(&mcs);
         t.row([name.to_string(), format!("{ratio:.3}")]);
     }
     t

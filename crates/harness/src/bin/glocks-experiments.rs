@@ -6,9 +6,9 @@
 //!                    [--journal FILE] [--resume] [--timeout-secs N]
 //!                    [--retries N] [--backoff-ms N]
 //!
-//! EXPERIMENT: all | fig1 | fig7 | fig8 | fig9 | fig10
-//!           | table1 | table2 | table3 | table4 | ablations | multiprog
-//!           | faults | chaos | service | scale | stats | fuzz
+//! EXPERIMENT: all | fig1 | fig8 | table1 | table2 | table3 | table4
+//!           | ablations | multiprog | faults | chaos | service | scale
+//!           | stats | fuzz
 //! --quick            reduced input sizes (seconds instead of minutes)
 //! --threads N        CMP size for the main experiments (default 32)
 //! --mesh WxH         explicit mesh floor plan for every run (W*H must
@@ -36,8 +36,14 @@
 //! --retries N        retries for transient wedges (default 2)
 //! --backoff-ms N     base backoff between retries, doubling per attempt
 //!
-//! `all` (the default) stands for the 14 paper experiments, in place: other
+//! `all` (the default) stands for the 11 paper experiments, in place: other
 //! names may come before or after it, and each experiment runs once.
+//!
+//! An experiment prints every figure drawn from the runs it makes, so each
+//! configuration is simulated once: `table3` prints Table III and then
+//! Figure 7 (with `--csv`: `table3.csv`, `fig7.csv` and the full-resolution
+//! `fig7_full.csv`), and `fig8` prints Figures 8, 9 and 10 (`fig8.csv`,
+//! `fig9.csv`, `fig10.csv`).
 //!
 //! Each experiment runs under catch_unwind: a panicking configuration is
 //! recorded as a `failed` journal row and the rest of the sweep proceeds.
@@ -80,15 +86,15 @@ use std::time::Instant;
 const TRACE_CAP: usize = 1 << 16;
 
 /// Every experiment name the CLI accepts (`all` expands to the paper set).
-const EXPERIMENTS: [&str; 18] = [
-    "all", "fig1", "fig7", "fig8", "fig9", "fig10", "table1", "table2", "table3", "table4",
-    "ablations", "multiprog", "faults", "chaos", "service", "scale", "stats", "fuzz",
+const EXPERIMENTS: [&str; 15] = [
+    "all", "fig1", "fig8", "table1", "table2", "table3", "table4", "ablations", "multiprog",
+    "faults", "chaos", "service", "scale", "stats", "fuzz",
 ];
 
 /// What `all` stands for, in run order.
-const PAPER_SET: [&str; 14] = [
-    "table1", "table2", "table3", "fig1", "fig7", "fig8", "table4", "fig9", "fig10",
-    "ablations", "multiprog", "faults", "chaos", "service",
+const PAPER_SET: [&str; 11] = [
+    "table1", "table2", "table3", "fig1", "fig8", "table4", "ablations", "multiprog", "faults",
+    "chaos", "service",
 ];
 
 fn usage_line() -> String {
@@ -176,26 +182,24 @@ fn run_one(name: &str, opts: &ExpOptions, cli: &Cli) -> String {
             write_csv(csv_dir, "table2", &t);
         }
         "table3" => {
-            let t = table3::run(opts);
+            let runs = table3::runs(opts);
+            let t = table3::table(&runs);
             writeln!(out, "{}", t.render()).unwrap();
             write_csv(csv_dir, "table3", &t);
+            let t = fig7::table(&runs).0;
+            writeln!(out, "{}", t.render()).unwrap();
+            write_csv(csv_dir, "fig7", &t);
+            // full per-grAC matrix for replotting the 3D figure
+            write_csv(csv_dir, "fig7_full", &fig7::full_matrix(&runs, opts.threads));
         }
         "fig1" => {
             let t = fig1::run(opts).0;
             writeln!(out, "{}", t.render()).unwrap();
             write_csv(csv_dir, "fig1", &t);
         }
-        "fig7" => {
-            let t = fig7::run(opts).0;
-            writeln!(out, "{}", t.render()).unwrap();
-            write_csv(csv_dir, "fig7", &t);
-            if csv_dir.is_some() {
-                // full per-grAC matrix for replotting the 3D figure
-                write_csv(csv_dir, "fig7_full", &fig7::full_matrix(opts));
-            }
-        }
         "fig8" => {
-            let (t, rows) = fig8::run(opts);
+            let pairs = fig8::runs(opts);
+            let (t, rows) = fig8::table(&pairs);
             writeln!(out, "{}", t.render()).unwrap();
             writeln!(out, "{}", fig8::chart(&rows)).unwrap();
             write_csv(csv_dir, "fig8", &t);
@@ -207,23 +211,21 @@ fn run_one(name: &str, opts: &ExpOptions, cli: &Cli) -> String {
                 a * 100.0
             )
             .unwrap();
+            let (t, rows) = fig9::table(&pairs);
+            writeln!(out, "{}", t.render()).unwrap();
+            writeln!(out, "{}", fig8::ratio_chart(rows.iter().map(|r| (r.bench, r.normalized))))
+                .unwrap();
+            write_csv(csv_dir, "fig9", &t);
+            let (t, rows) = fig10::table(&pairs);
+            writeln!(out, "{}", t.render()).unwrap();
+            writeln!(out, "{}", fig8::ratio_chart(rows.iter().map(|r| (r.bench, r.normalized))))
+                .unwrap();
+            write_csv(csv_dir, "fig10", &t);
         }
         "table4" => {
             let t = table4::run(opts).0;
             writeln!(out, "{}", t.render()).unwrap();
             write_csv(csv_dir, "table4", &t);
-        }
-        "fig9" => {
-            let (t, rows) = fig9::run(opts);
-            writeln!(out, "{}", t.render()).unwrap();
-            writeln!(out, "{}", fig9::chart(&rows)).unwrap();
-            write_csv(csv_dir, "fig9", &t);
-        }
-        "fig10" => {
-            let (t, rows) = fig10::run(opts);
-            writeln!(out, "{}", t.render()).unwrap();
-            writeln!(out, "{}", fig10::chart(&rows)).unwrap();
-            write_csv(csv_dir, "fig10", &t);
         }
         "stats" => {
             use glocks_workloads::BenchKind;

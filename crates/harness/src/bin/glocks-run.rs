@@ -9,7 +9,8 @@
 //!
 //! --bench NAME           SCTR|MCTR|DBLL|PRCO|ACTR|RAYTR|OCEAN|QSORT
 //! --lock NAME            Simple|TATAS|TATAS-BO|Ticket|Anderson|MCS|Ideal
-//!                        |GLock|MP-Lock|SB|DynGLock|Reactive
+//!                        |GLock|MP-Lock|SB|DynGLock|Reactive (any case,
+//!                        `-`/`_` optional: `tatas_bo`, `mplock`)
 //! --threads N            core count (default 32)
 //! --mesh WxH             explicit mesh floor plan (e.g. 32x32); W*H must
 //!                        equal the core count (default: near-square)
@@ -47,24 +48,6 @@ use std::time::Instant;
 
 fn parse_bench(name: &str) -> Option<BenchKind> {
     BenchKind::ALL.into_iter().find(|k| k.name().eq_ignore_ascii_case(name))
-}
-
-fn parse_lock(name: &str) -> Option<LockAlgorithm> {
-    const ALL: [LockAlgorithm; 12] = [
-        LockAlgorithm::Simple,
-        LockAlgorithm::Tatas,
-        LockAlgorithm::TatasBackoff,
-        LockAlgorithm::Ticket,
-        LockAlgorithm::Anderson,
-        LockAlgorithm::Mcs,
-        LockAlgorithm::Ideal,
-        LockAlgorithm::Glock,
-        LockAlgorithm::MpLock,
-        LockAlgorithm::SyncBuf,
-        LockAlgorithm::DynamicGlock,
-        LockAlgorithm::Reactive,
-    ];
-    ALL.into_iter().find(|a| a.name().eq_ignore_ascii_case(name))
 }
 
 struct Cli {
@@ -120,7 +103,7 @@ fn parse_cli() -> Cli {
             "--lock" => {
                 i += 1;
                 let v = need(&args, i, "--lock");
-                lock = Some(parse_lock(&v).unwrap_or_else(|| {
+                lock = Some(LockAlgorithm::parse(&v).unwrap_or_else(|| {
                     eprintln!("unknown lock algorithm: {v}");
                     usage()
                 }));

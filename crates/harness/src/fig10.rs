@@ -1,9 +1,10 @@
 //! Figure 10: normalized energy-delay² product (ED²P) for the full CMP,
-//! GLocks vs MCS, with the per-component energy split.
+//! GLocks vs MCS, with the per-component energy split, read from
+//! Figure 8's runs.
 
-use crate::exp::{glock_mapping, mcs_mapping, try_run_bench, ExpOptions};
+use crate::fig8::{class_mean, Pair};
 use glocks_energy::EnergyReport;
-use glocks_sim_base::table::{bar, norm, pct, TextTable};
+use glocks_sim_base::table::{norm, pct, TextTable};
 use glocks_workloads::BenchKind;
 
 pub struct Fig10Row {
@@ -21,37 +22,18 @@ impl Fig10Row {
     }
 }
 
-/// Bar chart of normalized ED2P (MCS = full width).
-pub fn chart(rows: &[Fig10Row]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>5} |{:<40}| {}",
-            r.bench.name(),
-            bar(r.normalized, 1.0, 40),
-            pct(1.0 - r.normalized)
-        );
-    }
-    out
-}
-
-pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig10Row>) {
-    let mut rows = Vec::new();
-    for kind in BenchKind::ALL {
-        let bench = opts.bench(kind);
-        let Some(mcs) = try_run_bench(opts, &bench, &mcs_mapping(&bench)) else { continue };
-        let Some(gl) = try_run_bench(opts, &bench, &glock_mapping(&bench)) else { continue };
-        rows.push(Fig10Row {
-            bench: kind,
-            mcs_ed2p: mcs.ed2p,
-            gl_ed2p: gl.ed2p,
-            normalized: gl.ed2p / mcs.ed2p,
-            gl_energy: gl.energy,
-            mcs_energy: mcs.energy,
-        });
-    }
+pub fn table(pairs: &[Pair]) -> (TextTable, Vec<Fig10Row>) {
+    let rows: Vec<Fig10Row> = pairs
+        .iter()
+        .map(|p| Fig10Row {
+            bench: p.bench,
+            mcs_ed2p: p.mcs.ed2p,
+            gl_ed2p: p.gl.ed2p,
+            normalized: p.gl.ed2p / p.mcs.ed2p,
+            gl_energy: p.gl.energy,
+            mcs_energy: p.mcs.energy,
+        })
+        .collect();
     let mut t = TextTable::new("Figure 10 — normalized ED2P for the full CMP (GL vs MCS)")
         .header(["bench", "GL/MCS ED2P", "reduction", "GL energy/MCS energy", "GLock HW share"]);
     for r in &rows {
@@ -63,39 +45,23 @@ pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig10Row>) {
             pct(r.gl_energy.glock_pj / r.gl_energy.total_pj()),
         ]);
     }
-    let avg = |app: bool| {
-        let xs: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.bench.is_app() == app)
-            .map(|r| r.normalized)
-            .collect();
-        xs.iter().sum::<f64>() / xs.len() as f64
-    };
-    t.row([
-        "AvgM".to_string(),
-        norm(avg(false)),
-        pct(1.0 - avg(false)),
-        String::new(),
-        String::new(),
-    ]);
-    t.row([
-        "AvgA".to_string(),
-        norm(avg(true)),
-        pct(1.0 - avg(true)),
-        String::new(),
-        String::new(),
-    ]);
+    for (label, app) in [("AvgM", false), ("AvgA", true)] {
+        let avg = class_mean(rows.iter().map(|r| (r.bench, r.normalized)), app);
+        t.row([label.to_string(), norm(avg), pct(1.0 - avg), String::new(), String::new()]);
+    }
     (t, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::ExpOptions;
+    use crate::fig8::runs;
 
     #[test]
     fn ed2p_improves_and_glock_hw_is_negligible() {
         let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
-        let (_t, rows) = run(&opts);
+        let (_t, rows) = table(&runs(&opts));
         for r in &rows {
             let cap = if r.bench == BenchKind::Qsort { 1.6 } else { 1.0 };
             assert!(

@@ -1,16 +1,14 @@
 //! Figure 7: locks' contention rate (LCR, Eqs. 1–3).
 //!
-//! Each benchmark runs with the Simple-Lock-with-TATAS configuration the
-//! paper uses for its post-mortem contention analysis; the cycle-by-cycle
-//! grAC histograms are decomposed per lock (RAYTR's 32 low-contention
-//! locks are aggregated as `RAYTR-LR`, as in the paper).
+//! The figure reads Table III's post-mortem runs ([`crate::table3::runs`]:
+//! every lock a Simple Lock with TATAS); the cycle-by-cycle grAC
+//! histograms are decomposed per lock (RAYTR's 32 low-contention locks
+//! are aggregated as `RAYTR-LR`, as in the paper).
 
-use crate::exp::{try_run_bench, ExpOptions};
-use glocks_locks::LockAlgorithm;
-use glocks_sim::LockMapping;
+use glocks_sim::SimReport;
 use glocks_sim_base::table::{pct, TextTable};
 use glocks_workloads::contention::{summarize, BUCKETS};
-use glocks_workloads::BenchKind;
+use glocks_workloads::{BenchConfig, BenchKind};
 
 pub struct Fig7Row {
     pub label: String,
@@ -18,25 +16,22 @@ pub struct Fig7Row {
     pub buckets: [f64; 4],
 }
 
-/// Full-resolution LCR matrix (one column per grAC value) — enough to
-/// replot the paper's 3D Figure 7 exactly.
-pub fn full_matrix(opts: &ExpOptions) -> TextTable {
+/// Full-resolution LCR matrix (one column per grAC value up to
+/// `threads`) — enough to replot the paper's 3D Figure 7 exactly.
+pub fn full_matrix(runs: &[(BenchConfig, SimReport)], threads: usize) -> TextTable {
     let mut t = TextTable::new("Figure 7 (full resolution) — LCR per grAC").header(
         std::iter::once("lock".to_string())
-            .chain((1..=opts.threads).map(|g| format!("g{g}")))
+            .chain((1..=threads).map(|g| format!("g{g}")))
             .collect::<Vec<_>>(),
     );
-    for kind in BenchKind::ALL {
-        let bench = opts.bench(kind);
-        let mapping = LockMapping::uniform(LockAlgorithm::Tatas, bench.n_locks());
-        let Some(r) = try_run_bench(opts, &bench, &mapping) else { continue };
+    for (bench, r) in runs {
         for (i, per_grac) in r.lcr.iter().enumerate() {
             // omit all-zero rows (silent low-contention locks)
             if per_grac.iter().sum::<f64>() < 1e-9 {
                 continue;
             }
-            let mut row = vec![format!("{}-L{}", kind.name(), i + 1)];
-            for g in 1..=opts.threads {
+            let mut row = vec![format!("{}-L{}", bench.kind.name(), i + 1)];
+            for g in 1..=threads {
                 row.push(format!("{:.4}", per_grac.get(g).copied().unwrap_or(0.0)));
             }
             t.row(row);
@@ -45,12 +40,10 @@ pub fn full_matrix(opts: &ExpOptions) -> TextTable {
     t
 }
 
-pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig7Row>) {
+pub fn table(runs: &[(BenchConfig, SimReport)]) -> (TextTable, Vec<Fig7Row>) {
     let mut rows: Vec<Fig7Row> = Vec::new();
-    for kind in BenchKind::ALL {
-        let bench = opts.bench(kind);
-        let mapping = LockMapping::uniform(LockAlgorithm::Tatas, bench.n_locks());
-        let Some(r) = try_run_bench(opts, &bench, &mapping) else { continue };
+    for (bench, r) in runs {
+        let kind = bench.kind;
         let summaries = summarize(&r.lcr);
         if kind == BenchKind::Raytr {
             // The paper shows the two most contended locks and aggregates
@@ -109,11 +102,13 @@ pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig7Row>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::ExpOptions;
+    use crate::table3::runs;
 
     #[test]
     fn micro_contention_shape() {
         let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
-        let (_t, rows) = run(&opts);
+        let (_t, rows) = table(&runs(&opts));
         // SCTR: all mass on one lock, concentrated at high grAC.
         let sctr = rows.iter().find(|r| r.label == "SCTR").unwrap();
         assert!((sctr.weight - 1.0).abs() < 1e-9);

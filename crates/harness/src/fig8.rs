@@ -1,10 +1,61 @@
 //! Figure 8: normalized execution time, GLocks vs MCS, with the
 //! Busy / Memory / Lock / Barrier breakdown and the AvgM / AvgA summary
 //! bars.
+//!
+//! Figures 8, 9 and 10 measure one set of runs three ways (time, traffic
+//! and ED²P), so [`runs`] simulates each benchmark once under MCS and once
+//! under GLocks, and every figure is a view over those [`Pair`]s.
 
 use crate::exp::{glock_mapping, mcs_mapping, try_run_bench, ExpOptions};
-use glocks_sim_base::table::{norm, pct, stacked_bar, TextTable};
+use glocks_sim::SimReport;
+use glocks_sim_base::table::{bar, norm, pct, stacked_bar, TextTable};
 use glocks_workloads::BenchKind;
+
+/// One benchmark under the paper's two principal configurations.
+pub struct Pair {
+    pub bench: BenchKind,
+    pub mcs: SimReport,
+    pub gl: SimReport,
+}
+
+/// Every benchmark under MCS, then under GLocks. A benchmark whose MCS or
+/// GLock run wedges is left out (its GLock run is skipped once MCS wedged).
+pub fn runs(opts: &ExpOptions) -> Vec<Pair> {
+    BenchKind::ALL
+        .into_iter()
+        .filter_map(|kind| {
+            let bench = opts.bench(kind);
+            let mcs = try_run_bench(opts, &bench, &mcs_mapping(&bench))?;
+            let gl = try_run_bench(opts, &bench, &glock_mapping(&bench))?;
+            Some(Pair { bench: kind, mcs, gl })
+        })
+        .collect()
+}
+
+/// The mean of the values whose benchmark is an application (`app`, the
+/// paper's AvgA bars) or a microbenchmark (`!app`, AvgM).
+pub fn class_mean(values: impl IntoIterator<Item = (BenchKind, f64)>, app: bool) -> f64 {
+    let xs: Vec<f64> =
+        values.into_iter().filter(|(k, _)| k.is_app() == app).map(|(_, x)| x).collect();
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// Bar chart of a GL/MCS ratio per benchmark (MCS = full width), with
+/// the reduction it amounts to: Figures 9 and 10.
+pub fn ratio_chart(values: impl IntoIterator<Item = (BenchKind, f64)>) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for (kind, normalized) in values {
+        let _ = writeln!(
+            out,
+            "{:>5} |{:<40}| {}",
+            kind.name(),
+            bar(normalized, 1.0, 40),
+            pct(1.0 - normalized)
+        );
+    }
+    out
+}
 
 pub struct Fig8Row {
     pub bench: BenchKind,
@@ -22,21 +73,18 @@ impl Fig8Row {
     }
 }
 
-pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig8Row>) {
-    let mut rows = Vec::new();
-    for kind in BenchKind::ALL {
-        let bench = opts.bench(kind);
-        let Some(mcs) = try_run_bench(opts, &bench, &mcs_mapping(&bench)) else { continue };
-        let Some(gl) = try_run_bench(opts, &bench, &glock_mapping(&bench)) else { continue };
-        rows.push(Fig8Row {
-            bench: kind,
-            mcs_cycles: mcs.cycles,
-            gl_cycles: gl.cycles,
-            normalized: gl.cycles as f64 / mcs.cycles as f64,
-            mcs_fracs: mcs.avg_fractions(),
-            gl_fracs: gl.avg_fractions(),
-        });
-    }
+pub fn table(pairs: &[Pair]) -> (TextTable, Vec<Fig8Row>) {
+    let rows: Vec<Fig8Row> = pairs
+        .iter()
+        .map(|p| Fig8Row {
+            bench: p.bench,
+            mcs_cycles: p.mcs.cycles,
+            gl_cycles: p.gl.cycles,
+            normalized: p.gl.cycles as f64 / p.mcs.cycles as f64,
+            mcs_fracs: p.mcs.avg_fractions(),
+            gl_fracs: p.gl.avg_fractions(),
+        })
+        .collect();
     let mut t = TextTable::new(
         "Figure 8 — normalized execution time (GL vs MCS) with breakdown",
     )
@@ -64,30 +112,18 @@ pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig8Row>) {
             fmt4(&r.gl_fracs),
         ]);
     }
-    let avg = |sel: &dyn Fn(&Fig8Row) -> bool| {
-        let xs: Vec<f64> = rows.iter().filter(|r| sel(r)).map(|r| r.normalized).collect();
-        xs.iter().sum::<f64>() / xs.len() as f64
-    };
-    let avg_m = avg(&|r: &Fig8Row| !r.bench.is_app());
-    let avg_a = avg(&|r: &Fig8Row| r.bench.is_app());
-    t.row([
-        "AvgM".to_string(),
-        String::new(),
-        String::new(),
-        norm(avg_m),
-        pct(1.0 - avg_m),
-        String::new(),
-        String::new(),
-    ]);
-    t.row([
-        "AvgA".to_string(),
-        String::new(),
-        String::new(),
-        norm(avg_a),
-        pct(1.0 - avg_a),
-        String::new(),
-        String::new(),
-    ]);
+    for (label, app) in [("AvgM", false), ("AvgA", true)] {
+        let avg = class_mean(rows.iter().map(|r| (r.bench, r.normalized)), app);
+        t.row([
+            label.to_string(),
+            String::new(),
+            String::new(),
+            norm(avg),
+            pct(1.0 - avg),
+            String::new(),
+            String::new(),
+        ]);
+    }
     (t, rows)
 }
 
@@ -114,14 +150,7 @@ pub fn chart(rows: &[Fig8Row]) -> String {
 /// The microbenchmark / application average reductions the abstract quotes
 /// (42 % / 14 %).
 pub fn average_reductions(rows: &[Fig8Row]) -> (f64, f64) {
-    let avg = |app: bool| {
-        let xs: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.bench.is_app() == app)
-            .map(|r| r.reduction())
-            .collect();
-        xs.iter().sum::<f64>() / xs.len() as f64
-    };
+    let avg = |app| class_mean(rows.iter().map(|r| (r.bench, r.reduction())), app);
     (avg(false), avg(true))
 }
 
@@ -132,7 +161,7 @@ mod tests {
     #[test]
     fn glocks_win_everywhere_micros_win_more() {
         let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
-        let (_t, rows) = run(&opts);
+        let (_t, rows) = table(&runs(&opts));
         for r in &rows {
             // QSORT's task DAG makes small-scale runs scheduling-noisy;
             // the full-scale win is validated by the paper_scale test.

@@ -1,9 +1,9 @@
 //! Figure 9: normalized network traffic (Coherence / Request / Reply
-//! bytes through all switches), GLocks vs MCS.
+//! bytes through all switches), GLocks vs MCS, read from Figure 8's runs.
 
-use crate::exp::{glock_mapping, mcs_mapping, try_run_bench, ExpOptions};
+use crate::fig8::{class_mean, Pair};
 use glocks_sim::TrafficSnapshot;
-use glocks_sim_base::table::{bar, norm, pct, TextTable};
+use glocks_sim_base::table::{norm, pct, TextTable};
 use glocks_workloads::BenchKind;
 
 pub struct Fig9Row {
@@ -20,36 +20,19 @@ impl Fig9Row {
     }
 }
 
-/// Bar chart of normalized traffic (MCS = full width).
-pub fn chart(rows: &[Fig9Row]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>5} |{:<40}| {}",
-            r.bench.name(),
-            bar(r.normalized, 1.0, 40),
-            pct(1.0 - r.normalized)
-        );
-    }
-    out
-}
-
-pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig9Row>) {
-    let mut rows = Vec::new();
-    for kind in BenchKind::ALL {
-        let bench = opts.bench(kind);
-        let Some(mcs) = try_run_bench(opts, &bench, &mcs_mapping(&bench)) else { continue };
-        let Some(gl) = try_run_bench(opts, &bench, &glock_mapping(&bench)) else { continue };
-        let (mcs, gl) = (mcs.traffic, gl.traffic);
-        rows.push(Fig9Row {
-            bench: kind,
-            mcs,
-            gl,
-            normalized: gl.total_bytes() as f64 / mcs.total_bytes() as f64,
-        });
-    }
+pub fn table(pairs: &[Pair]) -> (TextTable, Vec<Fig9Row>) {
+    let rows: Vec<Fig9Row> = pairs
+        .iter()
+        .map(|p| {
+            let (mcs, gl) = (p.mcs.traffic, p.gl.traffic);
+            Fig9Row {
+                bench: p.bench,
+                mcs,
+                gl,
+                normalized: gl.total_bytes() as f64 / mcs.total_bytes() as f64,
+            }
+        })
+        .collect();
     let mut t = TextTable::new("Figure 9 — normalized network traffic (GL vs MCS)").header([
         "bench",
         "MCS bytes (coh/req/rep)",
@@ -75,39 +58,23 @@ pub fn run(opts: &ExpOptions) -> (TextTable, Vec<Fig9Row>) {
             pct(r.reduction()),
         ]);
     }
-    let avg = |app: bool| {
-        let xs: Vec<f64> = rows
-            .iter()
-            .filter(|r| r.bench.is_app() == app)
-            .map(|r| r.normalized)
-            .collect();
-        xs.iter().sum::<f64>() / xs.len() as f64
-    };
-    t.row([
-        "AvgM".to_string(),
-        String::new(),
-        String::new(),
-        norm(avg(false)),
-        pct(1.0 - avg(false)),
-    ]);
-    t.row([
-        "AvgA".to_string(),
-        String::new(),
-        String::new(),
-        norm(avg(true)),
-        pct(1.0 - avg(true)),
-    ]);
+    for (label, app) in [("AvgM", false), ("AvgA", true)] {
+        let avg = class_mean(rows.iter().map(|r| (r.bench, r.normalized)), app);
+        t.row([label.to_string(), String::new(), String::new(), norm(avg), pct(1.0 - avg)]);
+    }
     (t, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::ExpOptions;
+    use crate::fig8::runs;
 
     #[test]
     fn glocks_cut_traffic() {
         let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
-        let (_t, rows) = run(&opts);
+        let (_t, rows) = table(&runs(&opts));
         for r in &rows {
             assert!(
                 r.normalized < 1.02,

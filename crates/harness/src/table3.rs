@@ -1,15 +1,33 @@
 //! Table III: benchmark configuration and lock-related characteristics,
 //! with the lock and highly-contended-lock counts *measured* from a run of
 //! each benchmark (the table is asserted, not just printed).
+//!
+//! The measuring runs are the paper's post-mortem contention analysis,
+//! which Figure 7 also reads, so [`runs`] simulates each benchmark once
+//! and both views are built from its reports.
 
 use crate::exp::{try_run_bench, ExpOptions};
 use glocks_locks::LockAlgorithm;
-use glocks_sim::LockMapping;
+use glocks_sim::{LockMapping, SimReport};
 use glocks_sim_base::table::TextTable;
 use glocks_workloads::contention::classify_hc;
-use glocks_workloads::BenchKind;
+use glocks_workloads::{BenchConfig, BenchKind};
 
-pub fn run(opts: &ExpOptions) -> TextTable {
+/// Every benchmark with every lock a Simple Lock with the
+/// test-and-test&set optimization, as in the paper's post-mortem. A
+/// benchmark whose run wedges is left out.
+pub fn runs(opts: &ExpOptions) -> Vec<(BenchConfig, SimReport)> {
+    BenchKind::ALL
+        .into_iter()
+        .filter_map(|kind| {
+            let bench = opts.bench(kind);
+            let mapping = LockMapping::uniform(LockAlgorithm::Tatas, bench.n_locks());
+            try_run_bench(opts, &bench, &mapping).map(|r| (bench, r))
+        })
+        .collect()
+}
+
+pub fn table(runs: &[(BenchConfig, SimReport)]) -> TextTable {
     let mut t = TextTable::new("Table III — benchmarks and lock characteristics").header([
         "benchmark",
         "input size",
@@ -18,12 +36,8 @@ pub fn run(opts: &ExpOptions) -> TextTable {
         "measured H-C",
         "access pattern",
     ]);
-    for kind in BenchKind::ALL {
-        let bench = opts.bench(kind);
-        // The paper's post-mortem runs every lock as Simple Lock with the
-        // test-and-test&set optimization.
-        let mapping = LockMapping::uniform(LockAlgorithm::Tatas, bench.n_locks());
-        let Some(r) = try_run_bench(opts, &bench, &mapping) else { continue };
+    for (bench, r) in runs {
+        let kind = bench.kind;
         // Footnote-3 criterion: substantial cycle weight and most mass at
         // grACs comparable to the core count.
         let hc_measured = classify_hc(&r.lcr, bench.threads / 4, 0.35, 0.02);
@@ -46,7 +60,7 @@ mod tests {
     #[test]
     fn renders_all_benchmarks() {
         let opts = ExpOptions { quick: true, threads: 8, ..Default::default() };
-        let t = run(&opts);
+        let t = table(&runs(&opts));
         assert_eq!(t.n_rows(), 8);
         let s = t.render();
         assert!(s.contains("RAYTR"));

@@ -106,7 +106,7 @@ fn snapshot_refuses_a_differently_shaped_machine() {
 /// a zero wall-clock budget.
 #[test]
 fn zero_threads_is_a_usage_error() {
-    let cases: [(&[&str], &str); 5] = [
+    let cases: [(&[&str], &str); 6] = [
         (&["--threads", "0"], "--threads must be at least 1"),
         (&["--die-after-checkpoints", "1"], "--die-after-checkpoints needs --checkpoint-every"),
         (
@@ -118,6 +118,7 @@ fn zero_threads_is_a_usage_error() {
             "--die-after-checkpoints must be at least 1",
         ),
         (&["--timeout-secs", "0"], "--timeout-secs must be at least 1"),
+        (&["--lock", "no-such-lock"], "unknown lock algorithm"),
     ];
     for (extra, message) in cases {
         let out = bin()

@@ -371,11 +371,6 @@ impl L1Cache {
         self.array.peek(line).copied()
     }
 
-    /// Lines awaiting PutAck (tests/invariants).
-    pub fn wb_lines(&self) -> &[LineAddr] {
-        &self.wb
-    }
-
     /// All lines currently resident in the array (tests/invariants).
     pub fn resident_lines(&self) -> Vec<LineAddr> {
         self.array.iter().map(|(l, _)| l).collect()

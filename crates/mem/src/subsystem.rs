@@ -110,11 +110,6 @@ impl MemorySystem {
         self.l1s[core.index()].submit(op, now);
     }
 
-    /// Is `core`'s L1 free to accept a new operation?
-    pub fn can_submit(&self, core: CoreId) -> bool {
-        !self.l1s[core.index()].busy()
-    }
-
     /// Take the completion for `core`, if its operation finished.
     pub fn take_result(&mut self, core: CoreId) -> Option<MemResult> {
         self.l1s[core.index()].take_result()

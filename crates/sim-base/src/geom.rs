@@ -118,19 +118,6 @@ impl Mesh2D {
         assert!(y < self.rows);
         (0..self.cols).map(move |x| self.tile(Coord { x, y }))
     }
-
-    /// The central column index — where the paper places the vertical
-    /// G-lines connecting secondary lock managers to the primary one.
-    #[inline]
-    pub fn center_col(&self) -> u16 {
-        self.cols / 2
-    }
-
-    /// The central row index — the row hosting the primary lock manager.
-    #[inline]
-    pub fn center_row(&self) -> u16 {
-        self.rows / 2
-    }
 }
 
 #[cfg(test)]

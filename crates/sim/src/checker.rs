@@ -26,6 +26,11 @@
 //!    more than [`CheckerConfig::fairness_window`] cycles *while more
 //!    grants than a full round flowed past it*, fairness is broken. (A
 //!    global stall trips the watchdog instead, with its own diagnosis.)
+//!    The bound is the G-line arbiter's, so it holds only while the
+//!    hardware path serves: no violation is reported while a network is
+//!    compromised or untrusted, or a fail-back controller is out of
+//!    `Hardware` mode. Acquires then replay on the test-and-set fallback
+//!    word, which gives no admission-order guarantee.
 //! 4. **Directory/L1 MESI compatibility** —
 //!    [`glocks_mem::MemorySystem::find_invariant_violation`].
 //! 5. **Fail-back safety** — on a repaired-but-untrusted network, the
@@ -159,7 +164,11 @@ impl ProtocolChecker {
                 }
             }
         }
-        if let Some(v) = self.check_bounded_waiting(now, tracker) {
+        let hardware_serves = || {
+            nets.iter().all(|n| !n.is_compromised() && n.health().is_trusted())
+                && ctls.iter().all(|c| c.mode() == FailbackMode::Hardware)
+        };
+        if let Some(v) = self.check_bounded_waiting(now, tracker, hardware_serves) {
             return Some(v);
         }
         if let Some(v) = mem.find_invariant_violation() {
@@ -168,7 +177,14 @@ impl ProtocolChecker {
         None
     }
 
-    fn check_bounded_waiting(&mut self, now: Cycle, tracker: &LockTracker) -> Option<String> {
+    /// `hardware_serves` is asked only once a watch has overstayed, so a
+    /// run whose every wait is short never evaluates it.
+    fn check_bounded_waiting(
+        &mut self,
+        now: Cycle,
+        tracker: &LockTracker,
+        hardware_serves: impl Fn() -> bool,
+    ) -> Option<String> {
         for (i, watch) in self.watches.iter_mut().enumerate() {
             let lock = LockId(i as u16);
             let Some((tid, since)) = tracker.oldest_request(lock) else {
@@ -183,6 +199,7 @@ impl ProtocolChecker {
                     let flowed = acquires - w.acquires_then;
                     if now.saturating_sub(since) > self.cfg.fairness_window
                         && flowed > self.n_cores
+                        && hardware_serves()
                     {
                         return Some(format!(
                             "bounded waiting: thread {tid} has waited {} cycles on lock {i} \

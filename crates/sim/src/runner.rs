@@ -109,8 +109,6 @@ const BARRIER_REGION: u64 = 0x00F0_0000;
 pub struct SimulationOptions {
     /// Abort if the run exceeds this many cycles.
     pub max_cycles: u64,
-    /// Energy model to account with.
-    pub energy_model: EnergyModel,
     /// Use a hierarchical GLock topology even when a flat one would fit.
     pub force_hierarchical_glocks: bool,
     /// Barrier partitions for multiprogrammed runs: consecutive core
@@ -157,7 +155,6 @@ impl Default for SimulationOptions {
     fn default() -> Self {
         SimulationOptions {
             max_cycles: 2_000_000_000,
-            energy_model: EnergyModel::paper_baseline(),
             force_hierarchical_glocks: false,
             barrier_partitions: None,
             hardware_barrier: false,
@@ -192,7 +189,9 @@ fn config_fingerprint(cfg: &CmpConfig, mapping: &LockMapping, options: &Simulati
         fp.mix_str(mapping.algo(LockId(i as u16)).name());
     }
     fp.mix_u64(options.max_cycles);
-    fp.mix_str(&format!("{:?}", options.energy_model));
+    // Every run accounts with the paper's model; it stays in the digest so
+    // existing checkpoints keep their fingerprints.
+    fp.mix_str(&format!("{:?}", EnergyModel::paper_baseline()));
     fp.mix_u64(u64::from(options.force_hierarchical_glocks));
     match &options.barrier_partitions {
         None => fp.mix_u64(0),
@@ -944,7 +943,7 @@ impl Simulation {
             gline_signals: glocks.iter().map(|g| g.signals).sum::<u64>() + gbarrier_signals,
             glock_controllers,
         };
-        let energy = self.options.energy_model.account(&inputs);
+        let energy = EnergyModel::paper_baseline().account(&inputs);
         let finished_at_vec = self
             .cores
             .iter()

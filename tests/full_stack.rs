@@ -2,6 +2,7 @@
 
 use glocks_repro::prelude::*;
 use glocks_repro::sim::CheckerConfig;
+use glocks_repro::sim_base::fault::FaultPlan;
 
 fn run(
     kind: BenchKind,
@@ -56,6 +57,25 @@ fn invariant_checked_run_stays_clean() {
     let mapping = LockMapping::hybrid(&bench.hc_locks(), LockAlgorithm::Glock, bench.n_locks());
     let (_, verify) = run(BenchKind::Dbll, 8, &mapping, opts);
     verify.unwrap();
+}
+
+#[test]
+fn bounded_waiting_is_not_held_against_the_software_fallback() {
+    // Once every G-line network is dead, acquires replay on the TATAS
+    // fallback word, which promises no admission order: the arbiter's
+    // one-lap bound must not be checked there. A window this tight trips
+    // within the first few grants after the failover if it is.
+    let checker = Some(CheckerConfig { every: 1024, fairness_window: 20_000 });
+    let mut killed = FaultPlan::seeded(0xC4A0);
+    killed.kill_all_glock_networks(1, 1_000, 5_000);
+    let mapping = LockMapping::uniform(LockAlgorithm::Glock, 1);
+    for fault_plan in [None, Some(killed)] {
+        let faulted = fault_plan.is_some();
+        let opts = SimulationOptions { fault_plan, checker, ..Default::default() };
+        let (report, verify) = run(BenchKind::Sctr, 8, &mapping, opts);
+        verify.unwrap_or_else(|e| panic!("faulted={faulted}: {e}"));
+        assert_eq!(report.acquires, [160], "faulted={faulted}");
+    }
 }
 
 #[test]
