@@ -2,12 +2,12 @@
 //! actions into backend scripts, and attributes every cycle.
 
 use crate::breakdown::{Breakdown, Category};
-use crate::program::{Action, BarrierBackend, LockBackend, Script, Step, Workload};
+use crate::program::{Action, BarrierBackend, LockBackend, Script, Spin, Step, Workload};
 use crate::tracker::LockTracker;
-use glocks_mem::MemorySystem;
+use glocks_mem::{MemOp, MemorySystem, Park};
 use glocks_sim_base::snap::{Decode, Snap, SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::trace::TraceMask;
-use glocks_sim_base::{trace_event, CoreId, Cycle, LockId, ThreadId};
+use glocks_sim_base::{trace_event, Addr, CoreId, Cycle, LockId, ThreadId};
 
 /// Lock and barrier implementations available to the cores.
 pub struct Backends<'a> {
@@ -92,6 +92,14 @@ pub struct Core {
     /// structured diagnosis (failover applies to lock networks, not to the
     /// computation a dead tile was carrying).
     halt_at: Option<Cycle>,
+    /// Whether local spins may park (the event-driven runner's choice).
+    parking: bool,
+    /// The parked spin, if any: its charges are settled lazily. Boxed,
+    /// because held inline it enlarged every core and measurably slowed
+    /// `Simulation::new` and workloads that never park.
+    park: Option<Box<Park>>,
+    /// Polls settled in bulk so far (host-side, never saved).
+    parked_polls: u64,
 }
 
 impl Core {
@@ -109,7 +117,26 @@ impl Core {
             finished_at: None,
             progress_events: 0,
             halt_at: None,
+            parking: false,
+            park: None,
+            parked_polls: 0,
         }
+    }
+
+    /// Let this core park its local spins (see [`Core::tick`]).
+    pub fn enable_parking(&mut self) {
+        self.parking = true;
+    }
+
+    /// True while this core's spin is parked.
+    pub fn is_parked(&self) -> bool {
+        self.park.is_some()
+    }
+
+    /// Polls replayed in bulk by settled parks: a host-side count that no
+    /// checkpoint or dump carries.
+    pub fn parked_polls(&self) -> u64 {
+        self.parked_polls
     }
 
     /// Schedule a permanent tile fault: the core freezes at cycle `at`.
@@ -205,6 +232,11 @@ impl Core {
         }
     }
 
+    /// How the running sub-script, if any, waits.
+    fn spin(&self) -> Spin {
+        self.sub.as_ref().map_or(Spin::Hot, |s| s.script.spin())
+    }
+
     fn category(&self) -> Category {
         match &self.sub {
             Some(s) => match s.kind {
@@ -238,7 +270,12 @@ impl Core {
             finished_at,
             progress_events,
             halt_at,
+            parking: _,
+            park,
+            parked_polls: _,
         } = self;
+        // A parked core saves the charges its dense poll loop holds.
+        let breakdown = park.as_ref().map_or(*breakdown, |p| self.settled(p));
         w.mark("core");
         state.save(w);
         workload.save_state(w)?;
@@ -276,7 +313,11 @@ impl Core {
             finished_at,
             progress_events,
             halt_at,
+            parking: _,
+            park,
+            parked_polls: _,
         } = self;
+        *park = None;
         r.expect("core")?;
         state.load(r)?;
         workload.load_state(r)?;
@@ -330,9 +371,7 @@ impl Core {
             // a device — whose own `next_event` the runner consults —
             // flips the register. A scheduled tile death still fences the
             // poll charges, so it stays observable.
-            State::Ready if self.sub.as_ref().is_some_and(|s| s.script.idle_spin()) => {
-                self.halt_at
-            }
+            State::Ready if self.spin() == Spin::Register => self.halt_at,
             // Otherwise a pull could run scripts / submit memory ops —
             // unpredictable from here.
             State::Ready | State::WaitingMem => Some(now),
@@ -360,7 +399,7 @@ impl Core {
             // poll instruction and charges the same category the dense
             // loop would have.
             debug_assert!(
-                self.sub.as_ref().is_some_and(|s| s.script.idle_spin()),
+                self.spin() == Spin::Register,
                 "core {}: skipped while hot",
                 self.id
             );
@@ -386,7 +425,37 @@ impl Core {
         }
     }
 
+    /// The breakdown the dense poll loop holds after the parked core's
+    /// last tick: one instruction per poll, and every cycle charged to the
+    /// spinning script's category.
+    fn settled(&self, p: &Park) -> Breakdown {
+        let mut b = self.breakdown;
+        b.instructions += p.polls();
+        b.charge(self.category(), p.cycles());
+        b
+    }
+
+    fn settle(&mut self) {
+        if let Some(p) = self.park.take() {
+            self.breakdown = self.settled(&p);
+            self.parked_polls += p.polls();
+        }
+    }
+
+    /// Settle a parked spin on both sides at a cycle boundary.
+    pub fn unpark(&mut self, mem: &mut MemorySystem) {
+        mem.unpark(self.id);
+        self.settle();
+    }
+
     /// Advance this core by one cycle.
+    ///
+    /// A local spin parks when parking is enabled and no halt is
+    /// scheduled: a `Load(a)` poll hit the L1, the script declared
+    /// [`Spin::Load`] before it was resumed with the loaded value, and it
+    /// polled `Load(a)` again. From then on neither this core nor its L1
+    /// does any work until a coherence message reaches the L1, which
+    /// settles the L1's side; the core settles its own on its next tick.
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -402,10 +471,26 @@ impl Core {
             // `progress_events` stops — exactly what the watchdog samples.
             return;
         }
+        if let Some(p) = &mut self.park {
+            if mem.is_parked(self.id) {
+                p.tick(now);
+                return;
+            }
+            self.settle();
+        }
+        // The word a declared memory spin just read in its L1, if this
+        // core may park on it.
+        let mut repoll = None;
         if matches!(self.state, State::WaitingMem) {
             if let Some(r) = mem.take_result(self.id) {
                 self.last_value = r.value;
                 self.state = State::Ready;
+                if let MemOp::Load(a) = r.op {
+                    let may_park = self.parking && self.halt_at.is_none() && r.l1_hit;
+                    if may_park && self.spin() == Spin::Load {
+                        repoll = Some(a);
+                    }
+                }
             }
         }
         if let State::WaitingUntil(t) = self.state {
@@ -417,7 +502,7 @@ impl Core {
             }
         }
         if matches!(self.state, State::Ready) {
-            self.pull(now, mem, backends, tracker);
+            self.pull(now, mem, backends, tracker, repoll);
             if matches!(self.state, State::Finished) {
                 return;
             }
@@ -431,16 +516,21 @@ impl Core {
         }
     }
 
-    /// Pull steps until one that consumes time is started.
+    /// Pull steps until one that consumes time is started. `repoll` is the
+    /// word the first resume's value came from, if the core may park when
+    /// the script polls it again.
     fn pull(
         &mut self,
         now: Cycle,
         mem: &mut MemorySystem,
         backends: &Backends<'_>,
         tracker: &mut LockTracker,
+        mut repoll: Option<Addr>,
     ) {
         // A zero-cycle-step cap: catches scripts that never make progress.
         for _ in 0..10_000 {
+            // Only the first resume sees the polled value.
+            let polled = repoll.take();
             let step = if let Some(sub) = self.sub.as_mut() {
                 let s = sub.script.resume(self.last_value);
                 if let Step::Done = s {
@@ -528,6 +618,10 @@ impl Core {
                     self.breakdown.instructions += 1;
                     mem.submit(self.id, op, now);
                     self.state = State::WaitingMem;
+                    if polled.is_some_and(|a| op == MemOp::Load(a)) {
+                        let park = mem.park(self.id, op.addr(), self.last_value, now);
+                        self.park = Some(Box::new(park));
+                    }
                     return;
                 }
                 Step::Done => unreachable!("handled above"),

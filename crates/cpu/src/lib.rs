@@ -22,6 +22,6 @@ pub mod tracker;
 pub use crate::core::{Backends, Core, CoreActivity};
 pub use breakdown::{Breakdown, Category};
 pub use program::{
-    load_script, Action, BarrierBackend, FixedScript, LockBackend, Script, Step, Workload,
+    load_script, Action, BarrierBackend, FixedScript, LockBackend, Script, Spin, Step, Workload,
 };
 pub use tracker::LockTracker;

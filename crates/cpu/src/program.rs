@@ -48,24 +48,41 @@ pub enum Step {
     Done,
 }
 
+/// How a script in its current position waits, as declared to the
+/// event-driven runner (see [`Script::spin`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Spin {
+    /// Not a declared spin: the core runs every step. Always safe.
+    Hot,
+    /// An inert register poll: until some device flips the register it
+    /// polls, every `resume` returns `Step::Compute(1)` (one
+    /// `bnz reg, loop` iteration) and leaves the script where it is. The
+    /// runner replicates those poll cycles in bulk, bounded by the polled
+    /// device's own `next_event`, so a script may declare this only while
+    /// the flip it waits for comes from a component the runner polls for
+    /// wakes.
+    Register,
+    /// A memory poll: every `resume` from this position that returns
+    /// `Step::Mem(MemOp::Load(a))` leaves the script where it is. Resumed
+    /// with the value its last `Load(a)` returned, the script therefore
+    /// returns `Load(a)` again, so a core whose poll hit its own L1 parks
+    /// until a coherence message reaches that L1 (the only way the word
+    /// can change).
+    Load,
+}
+
 /// A resumable sub-program (one lock acquire, one release, one barrier
 /// episode). `resume` is called with the result of the previously returned
 /// step (the loaded/old value of a `Mem` step, else 0).
 pub trait Script {
     fn resume(&mut self, last: u64) -> Step;
 
-    /// Whether this script is currently an *inert register-poll spin*:
-    /// until some device flips the register it polls, every `resume` will
-    /// return `Step::Compute(1)` (one `bnz reg, loop` iteration) and leave
-    /// the script in the same position. Declaring it lets the event-driven
-    /// runner replicate those poll cycles in bulk instead of executing
-    /// them one by one; the polled device's own `next_event` is what
-    /// bounds the jump, so a script may only return `true` while the
-    /// register flip it waits for is produced by a component the runner
-    /// polls for wakes. The default (`false`) keeps a script hot, which is
-    /// always safe.
-    fn idle_spin(&self) -> bool {
-        false
+    /// How this script waits in its current position. Declaring a spin
+    /// lets the event-driven runner replicate the poll iterations in bulk
+    /// instead of running them one by one. The default, [`Spin::Hot`],
+    /// never skips anything.
+    fn spin(&self) -> Spin {
+        Spin::Hot
     }
 
     /// Serialize this script's resumable position for a checkpoint. The

@@ -2,8 +2,8 @@
 //! counter by an array of locations" (Section II). Each thread spins on its
 //! own slot, in its own cache line.
 
-use crate::layout::slot;
-use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
+use crate::layout::{region_bytes, slot};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Spin, Step};
 use glocks_mem::{MemOp, RmwKind};
 use glocks_sim_base::snap::{SnapError, SnapReader};
 use glocks_sim_base::{snap, Addr, ThreadId};
@@ -30,6 +30,11 @@ impl AndersonLock {
             n: n_threads as u64,
             my_index: (0..n_threads).map(|_| Rc::new(Cell::new(0))).collect(),
         }
+    }
+
+    /// Simulated-memory footprint in bytes (for region planning).
+    pub fn region_bytes(n_threads: usize) -> u64 {
+        region_bytes(1 + n_threads as u64)
     }
 
     fn tail(&self) -> Addr {
@@ -97,6 +102,13 @@ impl Script for AndersonAcquire {
     }
 
     snap_methods!(script);
+
+    fn spin(&self) -> Spin {
+        match self.state {
+            AcqState::Spinning => Spin::Load,
+            _ => Spin::Hot,
+        }
+    }
 }
 
 enum RelState {

@@ -13,7 +13,7 @@
 //! any realistic run length.
 
 use crate::layout::slot;
-use glocks_cpu::{load_script, snap_methods, BarrierBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, BarrierBackend, Script, Spin, Step};
 use glocks_mem::{MemOp, RmwKind};
 use glocks_sim_base::snap::{SnapError, SnapReader};
 use glocks_sim_base::{snap, Addr, ThreadId};
@@ -210,6 +210,13 @@ impl Script for TreeWait {
     }
 
     snap_methods!(script);
+
+    fn spin(&self) -> Spin {
+        match self.phase {
+            Phase::Spinning(_) => Spin::Load,
+            _ => Spin::Hot,
+        }
+    }
 }
 
 impl TreeBarrier {

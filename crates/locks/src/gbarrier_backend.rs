@@ -4,7 +4,7 @@
 //! `GL_Lock`.
 
 use glocks::barrier::BarrierRegs;
-use glocks_cpu::{load_script, snap_methods, BarrierBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, BarrierBackend, Script, Spin, Step};
 use glocks_sim_base::snap::{SnapError, SnapReader};
 use glocks_sim_base::{snap, ThreadId};
 use std::rc::Rc;
@@ -60,8 +60,12 @@ impl Script for GBarrierWait {
     /// Spinning on `barrier_arrive` is inert until the barrier network
     /// (which watches the arrive registers and reports its own wakes)
     /// releases this core's episode.
-    fn idle_spin(&self) -> bool {
-        matches!(self.phase, Phase::Spin) && self.regs.waiting(self.core)
+    fn spin(&self) -> Spin {
+        if matches!(self.phase, Phase::Spin) && self.regs.waiting(self.core) {
+            Spin::Register
+        } else {
+            Spin::Hot
+        }
     }
 }
 

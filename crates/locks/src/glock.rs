@@ -65,7 +65,7 @@ use crate::failback::{FailbackCtl, FailbackMode};
 use crate::tatas::{TatasAcquire, TatasLock, TatasRelease};
 use glocks::pool::{GlockPool, PoolDecision};
 use glocks::GlockRegisters;
-use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Spin, Step};
 use glocks_sim_base::snap::{Snap, SnapError, SnapReader, SnapShared, SnapWriter};
 use glocks_sim_base::{Addr, ThreadId};
 use std::cell::Cell;
@@ -398,12 +398,20 @@ impl Script for GlockAcquire {
     /// The busy-wait loop is inert while the REQ is still raised *and* the
     /// network is alive: both the grant (register reset) and the death
     /// verdict are produced by the GLock network, whose `next_event`
-    /// covers them. Every other phase stays hot — its wake conditions
-    /// involve other cores' progress or the fail-back controller.
-    fn idle_spin(&self) -> bool {
+    /// covers them. The software fallback spins as its TATAS script does.
+    /// Every other phase stays hot — its wake conditions involve other
+    /// cores' progress or the fail-back controller.
+    fn spin(&self) -> Spin {
         let site = &self.driver.site;
-        matches!(self.phase, AcqPhase::Spin(k)
-            if site.regs(k).req_pending(self.tid.index()) && !site.is_dead(k))
+        match self.phase {
+            AcqPhase::Spin(k)
+                if site.regs(k).req_pending(self.tid.index()) && !site.is_dead(k) =>
+            {
+                Spin::Register
+            }
+            AcqPhase::Fallback(ref inner) => inner.spin(),
+            _ => Spin::Hot,
+        }
     }
 }
 

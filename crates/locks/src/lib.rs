@@ -136,6 +136,25 @@ impl LockAlgorithm {
         LockAlgorithm::ALL.into_iter().find(|a| canon(a.name()) == want)
     }
 
+    /// Bytes of simulated memory a lock of this algorithm uses from its
+    /// base address with `n_threads` threads.
+    pub fn region_bytes(self, n_threads: usize) -> u64 {
+        match self {
+            // The lock word, or the GLock's TATAS fallback word.
+            LockAlgorithm::Simple
+            | LockAlgorithm::Tatas
+            | LockAlgorithm::TatasBackoff
+            | LockAlgorithm::Glock
+            | LockAlgorithm::DynamicGlock => layout::region_bytes(1),
+            // The ticket and now-serving counters.
+            LockAlgorithm::Ticket => layout::region_bytes(2),
+            LockAlgorithm::Anderson => anderson::AndersonLock::region_bytes(n_threads),
+            LockAlgorithm::Mcs => mcs::McsLock::region_bytes(n_threads),
+            LockAlgorithm::Reactive => reactive::ReactiveLock::region_bytes(n_threads),
+            LockAlgorithm::Ideal | LockAlgorithm::MpLock | LockAlgorithm::SyncBuf => 0,
+        }
+    }
+
     /// Manufacture a backend. `base` is the start of this lock's private
     /// region of simulated memory (unused by `Ideal`/`MpLock`; hosts the
     /// failover word of `Glock`); `glock` — the fail-back controller of the

@@ -2,8 +2,8 @@
 //! highly-contended locks: a distributed queue of waiting threads, each
 //! busy-waiting on a unique, locally-cached flag.
 
-use crate::layout::slot;
-use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
+use crate::layout::{region_bytes, slot};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Spin, Step};
 use glocks_mem::{MemOp, RmwKind};
 use glocks_sim_base::snap::{SnapError, SnapReader};
 use glocks_sim_base::{snap, Addr, ThreadId};
@@ -21,6 +21,11 @@ snap!(shared McsLock { ; skip base });
 impl McsLock {
     pub fn new(base: Addr, _n_threads: usize) -> Self {
         McsLock { base }
+    }
+
+    /// Simulated-memory footprint in bytes (for region planning).
+    pub fn region_bytes(n_threads: usize) -> u64 {
+        region_bytes(1 + 2 * n_threads as u64)
     }
 
     fn tail(&self) -> Addr {
@@ -107,6 +112,13 @@ impl Script for McsAcquire {
     }
 
     snap_methods!(script);
+
+    fn spin(&self) -> Spin {
+        match self.state {
+            AcqState::Spinning => Spin::Load,
+            _ => Spin::Hot,
+        }
+    }
 }
 
 enum RelState {
@@ -193,6 +205,13 @@ impl Script for McsRelease {
     }
 
     snap_methods!(script);
+
+    fn spin(&self) -> Spin {
+        match self.state {
+            RelState::WaitLink => Spin::Load,
+            _ => Spin::Hot,
+        }
+    }
 }
 
 impl McsLock {

@@ -13,7 +13,7 @@
 
 use crate::mcs::{McsAcquire, McsLock, McsRelease};
 use crate::tatas::{TatasAcquire, TatasLock, TatasRelease};
-use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Spin, Step};
 use glocks_sim_base::snap::{Decode, Snap, SnapError, SnapReader, SnapShared, SnapWriter};
 use glocks_sim_base::{snap, Addr, ThreadId};
 use std::cell::Cell;
@@ -25,6 +25,9 @@ const HIGH_WATER: f64 = 3.0;
 const LOW_WATER: f64 = 1.5;
 /// EWMA smoothing factor.
 const ALPHA: f64 = 0.2;
+/// Where the MCS queue starts in the lock's region, a few lines past the
+/// TATAS flag so the two protocols never share a line.
+const MCS_OFFSET: u64 = 0x1000;
 
 /// The protocol currently backing the lock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,14 +58,18 @@ impl ReactiveLock {
     pub fn new(base: Addr, n_threads: usize) -> Self {
         ReactiveLock {
             tatas: TatasLock::tatas(base),
-            // Skip a few lines so the two protocols never share a line.
-            mcs: McsLock::new(Addr(base.0 + 0x1000), n_threads),
+            mcs: McsLock::new(Addr(base.0 + MCS_OFFSET), n_threads),
             mode: Cell::new(Mode::Tatas),
             refs: Cell::new(0),
             estimate: Cell::new(0.0),
             switches: Cell::new(0),
             path: (0..n_threads).map(|_| Rc::new(Cell::new(None))).collect(),
         }
+    }
+
+    /// Simulated-memory footprint in bytes (for region planning).
+    pub fn region_bytes(n_threads: usize) -> u64 {
+        MCS_OFFSET + McsLock::region_bytes(n_threads)
     }
 
     /// Sample contention and (when quiescent) adapt the protocol.
@@ -130,6 +137,13 @@ impl<T: Script, M: Script> Protocol<T, M> {
             Protocol::Mcs(s) => s.resume(last),
         }
     }
+
+    fn spin(&self) -> Spin {
+        match self {
+            Protocol::Tatas(s) => s.spin(),
+            Protocol::Mcs(s) => s.spin(),
+        }
+    }
 }
 
 /// The variant's own state only; the wrapper saves the mode and rebuilds
@@ -188,6 +202,14 @@ impl Script for ReactiveScript {
     }
 
     snap_methods!(script);
+
+    fn spin(&self) -> Spin {
+        if self.decided {
+            self.inner.spin()
+        } else {
+            Spin::Hot
+        }
+    }
 }
 
 /// Release wrapper that drops the reference count once done.
@@ -228,6 +250,10 @@ impl Script for ReactiveRelease {
     }
 
     snap_methods!(script);
+
+    fn spin(&self) -> Spin {
+        self.inner.spin()
+    }
 }
 
 /// The backend needs a sharable refcount for the release wrapper.

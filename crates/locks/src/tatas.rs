@@ -2,7 +2,7 @@
 //! (Section II of the paper).
 
 use crate::layout::slot;
-use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Spin, Step};
 use glocks_mem::{MemOp, RmwKind};
 use glocks_sim_base::snap::{SnapError, SnapReader};
 use glocks_sim_base::{snap, Addr, ThreadId};
@@ -104,6 +104,13 @@ impl Script for TatasAcquire {
     }
 
     snap_methods!(script);
+
+    fn spin(&self) -> Spin {
+        match self.state {
+            AcqState::Tested => Spin::Load,
+            _ => Spin::Hot,
+        }
+    }
 }
 
 pub(crate) struct TatasRelease {

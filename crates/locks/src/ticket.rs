@@ -2,7 +2,7 @@
 //! counter (Section II).
 
 use crate::layout::slot;
-use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Step};
+use glocks_cpu::{load_script, snap_methods, LockBackend, Script, Spin, Step};
 use glocks_mem::{MemOp, RmwKind};
 use glocks_sim_base::snap::{SnapError, SnapReader};
 use glocks_sim_base::{snap, Addr, ThreadId};
@@ -69,6 +69,13 @@ impl Script for TicketAcquire {
     }
 
     snap_methods!(script);
+
+    fn spin(&self) -> Spin {
+        match self.state {
+            AcqState::Spinning => Spin::Load,
+            _ => Spin::Hot,
+        }
+    }
 }
 
 struct TicketRelease {

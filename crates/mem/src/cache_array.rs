@@ -79,6 +79,15 @@ impl<S> CacheArray<S> {
         })
     }
 
+    /// `n` back-to-back [`lookup`](Self::lookup)s of a resident line, in
+    /// O(1).
+    pub fn lookup_n(&mut self, line: LineAddr, n: u64) {
+        if n > 0 {
+            self.clock += n - 1;
+            self.lookup(line).expect("a replayed lookup hits");
+        }
+    }
+
     /// Insert a line (must not already be present), evicting the LRU way if
     /// the set is full. Returns the evicted `(line, state)` if any.
     pub fn insert(&mut self, line: LineAddr, state: S) -> Option<(LineAddr, S)> {
@@ -170,6 +179,22 @@ mod tests {
         assert_eq!(a.remove(LineAddr(3)), Some(9));
         assert_eq!(a.remove(LineAddr(3)), None);
         assert_eq!(a.population(), 0);
+    }
+
+    #[test]
+    fn lookup_n_equals_repeated_lookups() {
+        let mut bulk = arr();
+        bulk.insert(LineAddr(0), 1);
+        bulk.insert(LineAddr(4), 2);
+        let mut one_by_one = bulk.clone();
+        bulk.lookup_n(LineAddr(4), 3);
+        for _ in 0..3 {
+            one_by_one.lookup(LineAddr(4));
+        }
+        let mut w = (SnapWriter::new(), SnapWriter::new());
+        bulk.save(&mut w.0);
+        one_by_one.save(&mut w.1);
+        assert_eq!(w.0.into_bytes(), w.1.into_bytes());
     }
 
     #[test]

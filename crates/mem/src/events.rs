@@ -8,6 +8,7 @@ use glocks_sim_base::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+#[derive(Clone)]
 struct Entry<T> {
     at: Cycle,
     seq: u64,
@@ -33,6 +34,7 @@ impl<T> Ord for Entry<T> {
 }
 
 /// Min-heap of `(cycle, item)` with FIFO tie-breaking.
+#[derive(Clone)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Reverse<Entry<T>>>,
     next_seq: u64,
@@ -85,6 +87,12 @@ impl<T> EventQueue<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Entry { at, seq, item }));
+    }
+
+    /// Spend the sequence numbers of `n` events scheduled and popped in
+    /// bulk elsewhere, so later ties still break as they would have.
+    pub fn skip(&mut self, n: u64) {
+        self.next_seq += n;
     }
 
     /// Pop the next event due at or before `now`.

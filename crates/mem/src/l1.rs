@@ -11,9 +11,10 @@ use crate::events::EventQueue;
 use crate::msg::{CoherenceMsg, MemOp, MemResult, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet};
+use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::stats::CounterSet;
 use glocks_sim_base::trace::TraceMask;
-use glocks_sim_base::{trace_event, CmpConfig, CoreId, Cycle, LineAddr, TileId};
+use glocks_sim_base::{trace_event, Addr, CmpConfig, CoreId, Cycle, LineAddr, TileId};
 
 /// MESI state of a resident L1 line (absent = Invalid).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,7 +37,42 @@ struct Pending {
 }
 glocks_sim_base::snap!(Pending { op, line, is_upgrade, stalled_on_wb });
 
+/// A parked local spin (see [`L1Cache::park`]): the core re-polls
+/// `Load(addr)`, which hit this L1 with `value`. The core keeps a copy for
+/// its own half of the accounting.
+#[derive(Clone, Copy, Debug)]
+pub struct Park {
+    addr: Addr,
+    value: u64,
+    /// Cycle the poll in flight at parking was submitted.
+    since: Cycle,
+    /// Cycles from one poll's submit to the next: the tag access, then the
+    /// core's re-issue on the cycle after the hit.
+    period: u64,
+    /// The last cycle the owner of this copy (the core or its L1) ticked.
+    seen: Cycle,
+}
+
+impl Park {
+    /// Record a tick of the parked owner.
+    pub fn tick(&mut self, now: Cycle) {
+        self.seen = now;
+    }
+
+    /// Cycles ticked after the parked poll's submit.
+    pub fn cycles(&self) -> u64 {
+        self.seen - self.since
+    }
+
+    /// Polls the core submitted after the parked one, if it ticked the
+    /// cycles this copy has seen.
+    pub fn polls(&self) -> u64 {
+        self.cycles() / self.period
+    }
+}
+
 /// One L1 data cache + controller.
+#[derive(Clone)]
 pub struct L1Cache {
     core: CoreId,
     array: CacheArray<L1State>,
@@ -56,11 +92,52 @@ pub struct L1Cache {
     num_tiles: usize,
     ctrl_bytes: u32,
     data_bytes: u32,
+    /// The core's spin, while parked; host-side, never saved. Boxed for
+    /// the same reason as the core's copy.
+    park: Option<Box<Park>>,
 }
-glocks_sim_base::snap!(L1Cache mark "l1" {
-    array, pending, wb, events, done, counters, submitted_at;
-    skip core, miss_hist, l1_latency, line_bytes, num_tiles, ctrl_bytes, data_bytes
-});
+
+/// Hand-written: a parked L1 saves the state its dense poll loop holds at
+/// the same cycle boundary, and a load leaves the L1 unparked.
+impl glocks_sim_base::snap::Snap for L1Cache {
+    fn save(&self, w: &mut SnapWriter) {
+        if self.park.is_some() {
+            let mut dense = self.clone();
+            dense.unpark();
+            return dense.save(w);
+        }
+        let L1Cache {
+            array, pending, wb, events, done, counters, submitted_at,
+            core: _, miss_hist: _, l1_latency: _, line_bytes: _, num_tiles: _,
+            ctrl_bytes: _, data_bytes: _, park: _,
+        } = self;
+        w.mark("l1");
+        array.save(w);
+        pending.save(w);
+        wb.save(w);
+        events.save(w);
+        done.save(w);
+        counters.save(w);
+        submitted_at.save(w);
+    }
+
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let L1Cache {
+            array, pending, wb, events, done, counters, submitted_at,
+            core: _, miss_hist: _, l1_latency: _, line_bytes: _, num_tiles: _,
+            ctrl_bytes: _, data_bytes: _, park,
+        } = self;
+        *park = None;
+        r.expect("l1")?;
+        array.load(r)?;
+        pending.load(r)?;
+        wb.load(r)?;
+        events.load(r)?;
+        done.load(r)?;
+        counters.load(r)?;
+        submitted_at.load(r)
+    }
+}
 
 impl L1Cache {
     pub fn new(core: CoreId, cfg: &CmpConfig) -> Self {
@@ -79,6 +156,7 @@ impl L1Cache {
             num_tiles: cfg.num_cores,
             ctrl_bytes: cfg.noc.ctrl_msg_bytes,
             data_bytes: cfg.noc.data_msg_bytes,
+            park: None,
         }
     }
 
@@ -109,6 +187,69 @@ impl L1Cache {
     /// Retrieve the completion of the last submitted operation, if ready.
     pub fn take_result(&mut self) -> Option<MemResult> {
         self.done.take()
+    }
+
+    /// Park the core's spin on `addr`, whose poll was just submitted at
+    /// `now`: the previous poll hit this L1 with `value`, and the core
+    /// re-issues the same load on the cycle after every hit. Only a
+    /// coherence message reaching this L1 can change the word (a write
+    /// elsewhere needs this copy invalidated or forwarded first), so until
+    /// one arrives every poll would hit and return `value`. Neither side
+    /// ticks them; [`Self::unpark`] or the next message replays them.
+    pub fn park(&mut self, addr: Addr, value: u64, now: Cycle) -> Park {
+        debug_assert!(
+            self.pending.is_none() && self.done.is_none() && self.events.len() == 1,
+            "core {}: parked beside other work",
+            self.core
+        );
+        let park = Park { addr, value, since: now, period: self.l1_latency + 1, seen: now };
+        // This L1 has ticked through the previous cycle (which ran the
+        // previous poll's hit, so `now >= 1`); the core through this one.
+        self.park = Some(Box::new(Park { seen: now - 1, ..park }));
+        park
+    }
+
+    /// True while the core's spin is parked here.
+    pub fn is_parked(&self) -> bool {
+        self.park.is_some()
+    }
+
+    /// Settle a parked spin at a cycle boundary, where the core has ticked
+    /// the same cycles as this L1.
+    pub fn unpark(&mut self) {
+        if let Some(seen) = self.park.as_ref().map(|p| p.seen) {
+            self.settle(seen);
+        }
+    }
+
+    /// Settle a parked spin in O(1): replay the polls the core submitted
+    /// through its tick at `core_through` and their tag accesses through
+    /// this L1's last tick, leaving exactly the state the dense loop holds.
+    fn settle(&mut self, core_through: Cycle) {
+        let Some(p) = self.park.take() else { return };
+        let polls = Park { seen: core_through, ..*p }.polls();
+        // The poll in flight now, and whether its tag access already ran.
+        let last = p.since + polls * p.period;
+        let due = last + self.l1_latency;
+        let answered = due <= p.seen;
+        let op = MemOp::Load(p.addr);
+        if polls > 0 {
+            self.counters.add("l1_access", polls);
+            self.events.pop_due(Cycle::MAX);
+            self.events.skip(polls - 1);
+            self.events.schedule(due, op);
+            self.submitted_at = Some(last);
+        }
+        if answered {
+            self.events.pop_due(due);
+            self.submitted_at = None;
+            self.done = Some(MemResult { op, value: p.value, finished_at: due, l1_hit: true });
+        }
+        let hits = polls + u64::from(answered);
+        if hits > 0 {
+            self.counters.add("l1_hit", hits);
+            self.array.lookup_n(p.addr.line(self.line_bytes), hits);
+        }
     }
 
     fn send(
@@ -177,6 +318,10 @@ impl L1Cache {
 
     /// Process due internal events (the tag-access pipeline).
     pub fn tick(&mut self, now: Cycle, store: &mut WordStore, net: &mut MeshNoc<SysMsg>) {
+        if let Some(p) = &mut self.park {
+            p.tick(now);
+            return;
+        }
         while let Some((at, op)) = self.events.pop_due(now) {
             self.access(op, at, store, net);
         }
@@ -273,6 +418,11 @@ impl L1Cache {
         store: &mut WordStore,
         net: &mut MeshNoc<SysMsg>,
     ) {
+        // Any message settles a parked spin first: one for the polled line
+        // may change the word, and a `FwdGetS` for any line moves the LRU
+        // clock the polls advance. The core's poll of this cycle is already
+        // in; the tag accesses of this cycle come after the message.
+        self.settle(now);
         let line = msg.line();
         match msg {
             CoherenceMsg::DataS { .. } | CoherenceMsg::DataE { .. } | CoherenceMsg::DataM { .. } => {

@@ -40,5 +40,6 @@ pub mod msg;
 pub mod store;
 pub mod subsystem;
 
+pub use l1::Park;
 pub use msg::{CoherenceMsg, MemOp, MemResult, MpLockMsg, RmwKind, SysMsg};
 pub use subsystem::{MemDiag, MemorySystem};

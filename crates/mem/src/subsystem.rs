@@ -3,15 +3,15 @@
 //! This is the interface the simulated cores talk to: submit one memory
 //! operation, tick the world, poll for the completion.
 
-use crate::dir::{DirState, Directory};
-use crate::l1::{L1Cache, L1State};
+use crate::dir::{DirState, Directory, SharerMask};
+use crate::l1::{L1Cache, L1State, Park};
 use crate::mplock::{MpFabric, MpManager, MANAGER_LATENCY, MAX_MP_LOCKS};
 use crate::msg::{MemOp, MemResult, MpLockMsg, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet, TrafficStats};
 use glocks_sim_base::fault::{FaultPlan, FaultSite};
 use glocks_sim_base::stats::CounterSet;
-use glocks_sim_base::{CmpConfig, CoreId, Cycle, LineAddr, TileId};
+use glocks_sim_base::{Addr, CmpConfig, CoreId, Cycle, LineAddr, TileId};
 
 /// A point-in-time picture of what the memory system is doing — part of
 /// the runner's diagnostic snapshot when a run wedges.
@@ -113,6 +113,28 @@ impl MemorySystem {
     /// Take the completion for `core`, if its operation finished.
     pub fn take_result(&mut self, core: CoreId) -> Option<MemResult> {
         self.l1s[core.index()].take_result()
+    }
+
+    /// Park `core`'s spin on `addr` at its L1 (see [`L1Cache::park`]).
+    pub fn park(&mut self, core: CoreId, addr: Addr, value: u64, now: Cycle) -> Park {
+        self.l1s[core.index()].park(addr, value, now)
+    }
+
+    /// Whether every sharer of a written line gets its `Inv`, which parking
+    /// relies on: the sharer mask aliases cores past its width, leaving
+    /// stale copies that only the functional store keeps correct.
+    pub fn invalidates_every_sharer(&self) -> bool {
+        self.l1s.len() <= SharerMask::BITS as usize
+    }
+
+    /// True while `core`'s spin is parked at its L1.
+    pub fn is_parked(&self, core: CoreId) -> bool {
+        self.l1s[core.index()].is_parked()
+    }
+
+    /// Settle `core`'s parked spin at a cycle boundary.
+    pub fn unpark(&mut self, core: CoreId) {
+        self.l1s[core.index()].unpark();
     }
 
     /// Advance the memory world by one cycle. Call once per simulated cycle

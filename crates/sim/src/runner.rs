@@ -99,10 +99,30 @@ impl BarrierBackend for PartitionedBarrier {
     }
 }
 
-/// Simulated-memory layout owned by the runner.
+/// Simulated-memory layout owned by the runner: lock `i`'s region starts
+/// `i` strides past `LOCK_REGION_BASE` (see [`lock_region_stride`]), and
+/// the barrier's at `BARRIER_REGION`.
 const LOCK_REGION_BASE: u64 = 0x0010_0000;
 const LOCK_REGION_STRIDE: u64 = 0x8000;
 const BARRIER_REGION: u64 = 0x00F0_0000;
+
+/// The distance between lock regions: `LOCK_REGION_STRIDE` while the
+/// largest region the mapping needs fits in it (every mapping up to 223
+/// threads, and all but Reactive up to 255), else that region rounded up
+/// to a multiple of it. Panics if the regions would reach the barrier's.
+fn lock_region_stride(mapping: &LockMapping, n_threads: usize) -> u64 {
+    let largest = (0..mapping.n_locks())
+        .map(|i| mapping.algo(LockId(i as u16)).region_bytes(n_threads))
+        .max()
+        .unwrap_or(0);
+    let stride = largest.next_multiple_of(LOCK_REGION_STRIDE).max(LOCK_REGION_STRIDE);
+    assert!(
+        LOCK_REGION_BASE + mapping.n_locks() as u64 * stride <= BARRIER_REGION,
+        "{} lock regions of {stride:#x} bytes reach the barrier region",
+        mapping.n_locks()
+    );
+    stride
+}
 
 /// Knobs beyond the architectural configuration.
 #[derive(Clone, Debug)]
@@ -372,10 +392,11 @@ impl Simulation {
         // Lock backends in LockId order; the k-th lock mapped to GLock
         // drives network k.
         let mut glock_ctls = failback_ctls.iter();
+        let stride = lock_region_stride(mapping, cfg.num_cores);
         let locks: Vec<Box<dyn LockBackend>> = (0..n_locks)
             .map(|i| {
                 let algo = mapping.algo(LockId(i as u16));
-                let base = Addr(LOCK_REGION_BASE + i as u64 * LOCK_REGION_STRIDE);
+                let base = Addr(LOCK_REGION_BASE + i as u64 * stride);
                 if algo == LockAlgorithm::DynamicGlock {
                     let pool = Rc::clone(pool.as_ref().expect("dynamic pool"));
                     return Box::new(GlockBackend::pooled(pool, i as u16, base, cfg.num_cores))
@@ -408,10 +429,17 @@ impl Simulation {
             (None, false) => Box::new(TreeBarrier::new(Addr(BARRIER_REGION), cfg.num_cores)),
         };
         let tracker = LockTracker::new(n_locks, cfg.num_cores);
+        let parking = options.idle_skip && mem.invalidates_every_sharer();
         let mut cores: Vec<Core> = workloads
             .into_iter()
             .enumerate()
-            .map(|(i, w)| Core::new(CoreId(i as u16), cfg.issue_width, w))
+            .map(|(i, w)| {
+                let mut core = Core::new(CoreId(i as u16), cfg.issue_width, w);
+                if parking {
+                    core.enable_parking();
+                }
+                core
+            })
             .collect();
         if let Some(plan) = &options.fault_plan {
             for hf in &plan.hard {
@@ -474,6 +502,18 @@ impl Simulation {
     /// snapshot's header must carry to be loadable here).
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
+    }
+
+    /// Local-spin polls the cores have settled in bulk rather than run (see
+    /// [`Core::tick`]): a host-side count, never saved or digested.
+    pub fn parked_polls(&self) -> u64 {
+        self.cores.iter().map(Core::parked_polls).sum()
+    }
+
+    /// Cores whose spin is parked right now (host-side, like
+    /// [`Simulation::parked_polls`]).
+    pub fn parked_cores(&self) -> usize {
+        self.cores.iter().filter(|c| c.is_parked()).count()
     }
 
     /// Advance every non-core device (memory system, GLock networks,
@@ -871,6 +911,12 @@ impl Simulation {
     /// `Ok(true)`.
     pub fn finish(mut self) -> Result<(SimReport, MemorySystem), SimError> {
         let finish_at = self.now;
+        // Only a core still spinning can be parked, so this settles nothing
+        // after a completed run; a caller that stops early gets the totals
+        // of the dense loop.
+        for core in &mut self.cores {
+            core.unpark(&mut self.mem);
+        }
         // Drain in-flight writebacks so the traffic/energy totals settle.
         // The G-line networks only tick while they report pending work, so
         // the per-iteration cost is O(active components) — a long memory
@@ -1341,6 +1387,25 @@ mod tests {
         plan.noc.max_delay = 4;
         let opts = SimulationOptions { fault_plan: Some(plan), ..Default::default() };
         let _ = Simulation::new(&cfg, &mapping, mini_workloads(&cfg, 1), &[], opts);
+    }
+
+    /// Lock regions stay disjoint and clear of the barrier's at 1,024
+    /// threads with RAYTR's 34 locks, and keep the 0x8000 stride (so every
+    /// layout and dump) wherever it suffices.
+    #[test]
+    fn lock_regions_are_disjoint_at_every_size() {
+        for algo in LockAlgorithm::ALL {
+            let mapping = LockMapping::uniform(algo, 34);
+            let stride = lock_region_stride(&mapping, 1024);
+            assert!(algo.region_bytes(1024) <= stride, "{} regions overlap", algo.name());
+            assert!(LOCK_REGION_BASE + 34 * stride <= BARRIER_REGION, "{}", algo.name());
+            // Reactive's MCS queue starts 4 KB into its region, so it
+            // outgrows the default stride from 224 threads.
+            let fits = if algo == LockAlgorithm::Reactive { 223 } else { 255 };
+            assert_eq!(lock_region_stride(&mapping, fits), LOCK_REGION_STRIDE, "{}", algo.name());
+        }
+        let mcs = LockMapping::uniform(LockAlgorithm::Mcs, 1);
+        assert_eq!(lock_region_stride(&mcs, 256), 2 * LOCK_REGION_STRIDE);
     }
 
     #[test]
