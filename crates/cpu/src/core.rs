@@ -251,13 +251,14 @@ impl Core {
         }
     }
 
-    /// Serialize this core's dynamic state. The workload and any
+    /// Serialize this core's dynamic state as the dense loop holds it after
+    /// the core's tick of cycle `through`. The workload and any
     /// in-progress lock/barrier sub-script save through their traits, so
     /// this fails with [`SnapError::Unsupported`] unless every piece has
     /// opted into checkpointing. Hand-written, like [`Core::load_state`]
     /// beside it, because a sub-script is rebuilt by the backend that made
     /// it.
-    pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
+    pub fn save_state(&self, w: &mut SnapWriter, through: Cycle) -> Result<(), SnapError> {
         let Core {
             id: _,
             tid: _,
@@ -274,8 +275,10 @@ impl Core {
             park,
             parked_polls: _,
         } = self;
-        // A parked core saves the charges its dense poll loop holds.
-        let breakdown = park.as_ref().map_or(*breakdown, |p| self.settled(p));
+        // A parked core saves the charges its dense poll loop holds. Its
+        // park may outlive its L1's: a message that unparks the L1 settles
+        // only the L1's side, and the core settles its own on its next tick.
+        let breakdown = park.as_ref().map_or(*breakdown, |p| self.settled(p, through));
         w.mark("core");
         state.save(w);
         workload.save_state(w)?;
@@ -426,26 +429,27 @@ impl Core {
     }
 
     /// The breakdown the dense poll loop holds after the parked core's
-    /// last tick: one instruction per poll, and every cycle charged to the
-    /// spinning script's category.
-    fn settled(&self, p: &Park) -> Breakdown {
+    /// tick of cycle `through`: one instruction per poll, and every cycle
+    /// charged to the spinning script's category.
+    fn settled(&self, p: &Park, through: Cycle) -> Breakdown {
         let mut b = self.breakdown;
-        b.instructions += p.polls();
-        b.charge(self.category(), p.cycles());
+        b.instructions += p.polls(through);
+        b.charge(self.category(), p.cycles(through));
         b
     }
 
-    fn settle(&mut self) {
+    fn settle(&mut self, through: Cycle) {
         if let Some(p) = self.park.take() {
-            self.breakdown = self.settled(&p);
-            self.parked_polls += p.polls();
+            self.breakdown = self.settled(&p, through);
+            self.parked_polls += p.polls(through);
         }
     }
 
-    /// Settle a parked spin on both sides at a cycle boundary.
-    pub fn unpark(&mut self, mem: &mut MemorySystem) {
-        mem.unpark(self.id);
-        self.settle();
+    /// Settle a parked spin on both sides at a cycle boundary, where the
+    /// machine has executed cycles up to `through`.
+    pub fn unpark(&mut self, mem: &mut MemorySystem, through: Cycle) {
+        mem.unpark(self.id, through);
+        self.settle(through);
     }
 
     /// Advance this core by one cycle.
@@ -454,8 +458,9 @@ impl Core {
     /// scheduled: a `Load(a)` poll hit the L1, the script declared
     /// [`Spin::Load`] before it was resumed with the loaded value, and it
     /// polled `Load(a)` again. From then on neither this core nor its L1
-    /// does any work until a coherence message reaches the L1, which
-    /// settles the L1's side; the core settles its own on its next tick.
+    /// is visited ([`MemorySystem::is_parked`]) until a coherence message
+    /// reaches the L1, which settles the L1's side; the core settles its
+    /// own on its next tick, through the cycle before it.
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -471,12 +476,9 @@ impl Core {
             // `progress_events` stops — exactly what the watchdog samples.
             return;
         }
-        if let Some(p) = &mut self.park {
-            if mem.is_parked(self.id) {
-                p.tick(now);
-                return;
-            }
-            self.settle();
+        if self.park.is_some() {
+            debug_assert!(!mem.is_parked(self.id), "core {}: ticked while parked", self.id);
+            self.settle(now - 1);
         }
         // The word a declared memory spin just read in its L1, if this
         // core may park on it.

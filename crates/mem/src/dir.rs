@@ -200,6 +200,12 @@ impl Directory {
             .unwrap_or(DirState::Uncached)
     }
 
+    /// True while an event is scheduled: otherwise [`Self::tick`] is a
+    /// no-op until a message arrives.
+    pub fn has_events(&self) -> bool {
+        !self.events.is_empty()
+    }
+
     /// True when no transaction or queued request exists anywhere.
     pub fn is_quiescent(&self) -> bool {
         self.events.is_empty()

@@ -39,7 +39,9 @@ glocks_sim_base::snap!(Pending { op, line, is_upgrade, stalled_on_wb });
 
 /// A parked local spin (see [`L1Cache::park`]): the core re-polls
 /// `Load(addr)`, which hit this L1 with `value`. The core keeps a copy for
-/// its own half of the accounting.
+/// its own half of the accounting. Neither owner is visited while parked,
+/// so each settle point passes in the last cycle its owner would have
+/// ticked.
 #[derive(Clone, Copy, Debug)]
 pub struct Park {
     addr: Addr,
@@ -49,25 +51,18 @@ pub struct Park {
     /// Cycles from one poll's submit to the next: the tag access, then the
     /// core's re-issue on the cycle after the hit.
     period: u64,
-    /// The last cycle the owner of this copy (the core or its L1) ticked.
-    seen: Cycle,
 }
 
 impl Park {
-    /// Record a tick of the parked owner.
-    pub fn tick(&mut self, now: Cycle) {
-        self.seen = now;
+    /// Cycles after the parked poll's submit, through cycle `through`.
+    pub fn cycles(&self, through: Cycle) -> u64 {
+        through - self.since
     }
 
-    /// Cycles ticked after the parked poll's submit.
-    pub fn cycles(&self) -> u64 {
-        self.seen - self.since
-    }
-
-    /// Polls the core submitted after the parked one, if it ticked the
-    /// cycles this copy has seen.
-    pub fn polls(&self) -> u64 {
-        self.cycles() / self.period
+    /// Polls the core submitted after the parked one, through its tick at
+    /// `through`.
+    pub fn polls(&self, through: Cycle) -> u64 {
+        self.cycles(through) / self.period
     }
 }
 
@@ -97,15 +92,11 @@ pub struct L1Cache {
     park: Option<Box<Park>>,
 }
 
-/// Hand-written: a parked L1 saves the state its dense poll loop holds at
-/// the same cycle boundary, and a load leaves the L1 unparked.
+/// Hand-written: a parked L1 is saved settled (`MemorySystem::save`), and
+/// a load leaves the L1 unparked.
 impl glocks_sim_base::snap::Snap for L1Cache {
     fn save(&self, w: &mut SnapWriter) {
-        if self.park.is_some() {
-            let mut dense = self.clone();
-            dense.unpark();
-            return dense.save(w);
-        }
+        debug_assert!(self.park.is_none(), "core {}: parked L1 saved unsettled", self.core);
         let L1Cache {
             array, pending, wb, events, done, counters, submitted_at,
             core: _, miss_hist: _, l1_latency: _, line_bytes: _, num_tiles: _,
@@ -202,10 +193,8 @@ impl L1Cache {
             "core {}: parked beside other work",
             self.core
         );
-        let park = Park { addr, value, since: now, period: self.l1_latency + 1, seen: now };
-        // This L1 has ticked through the previous cycle (which ran the
-        // previous poll's hit, so `now >= 1`); the core through this one.
-        self.park = Some(Box::new(Park { seen: now - 1, ..park }));
+        let park = Park { addr, value, since: now, period: self.l1_latency + 1 };
+        self.park = Some(Box::new(park));
         park
     }
 
@@ -214,24 +203,23 @@ impl L1Cache {
         self.park.is_some()
     }
 
-    /// Settle a parked spin at a cycle boundary, where the core has ticked
-    /// the same cycles as this L1.
-    pub fn unpark(&mut self) {
-        if let Some(seen) = self.park.as_ref().map(|p| p.seen) {
-            self.settle(seen);
-        }
+    /// Settle a parked spin at a cycle boundary, where the core and this L1
+    /// have both ticked through `through`.
+    pub fn unpark(&mut self, through: Cycle) {
+        self.settle(through, through);
     }
 
     /// Settle a parked spin in O(1): replay the polls the core submitted
     /// through its tick at `core_through` and their tag accesses through
-    /// this L1's last tick, leaving exactly the state the dense loop holds.
-    fn settle(&mut self, core_through: Cycle) {
+    /// this L1's tick at `l1_through`, leaving exactly the state the dense
+    /// loop holds.
+    fn settle(&mut self, core_through: Cycle, l1_through: Cycle) {
         let Some(p) = self.park.take() else { return };
-        let polls = Park { seen: core_through, ..*p }.polls();
+        let polls = p.polls(core_through);
         // The poll in flight now, and whether its tag access already ran.
         let last = p.since + polls * p.period;
         let due = last + self.l1_latency;
-        let answered = due <= p.seen;
+        let answered = due <= l1_through;
         let op = MemOp::Load(p.addr);
         if polls > 0 {
             self.counters.add("l1_access", polls);
@@ -316,12 +304,10 @@ impl L1Cache {
         self.send(msg, home, now, net);
     }
 
-    /// Process due internal events (the tag-access pipeline).
+    /// Process due internal events (the tag-access pipeline). Never called
+    /// while parked: the memory system skips parked L1s.
     pub fn tick(&mut self, now: Cycle, store: &mut WordStore, net: &mut MeshNoc<SysMsg>) {
-        if let Some(p) = &mut self.park {
-            p.tick(now);
-            return;
-        }
+        debug_assert!(self.park.is_none(), "core {}: parked L1 ticked", self.core);
         while let Some((at, op)) = self.events.pop_due(now) {
             self.access(op, at, store, net);
         }
@@ -422,7 +408,9 @@ impl L1Cache {
         // may change the word, and a `FwdGetS` for any line moves the LRU
         // clock the polls advance. The core's poll of this cycle is already
         // in; the tag accesses of this cycle come after the message.
-        self.settle(now);
+        if self.park.is_some() {
+            self.settle(now, now - 1);
+        }
         let line = msg.line();
         match msg {
             CoherenceMsg::DataS { .. } | CoherenceMsg::DataE { .. } | CoherenceMsg::DataM { .. } => {

@@ -10,8 +10,9 @@ use crate::msg::{MemOp, MemResult, MpLockMsg, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet, TrafficStats};
 use glocks_sim_base::fault::{FaultPlan, FaultSite};
+use glocks_sim_base::snap::{fixed, Snap, SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::stats::CounterSet;
-use glocks_sim_base::{Addr, CmpConfig, CoreId, Cycle, LineAddr, TileId};
+use glocks_sim_base::{ActivitySet, Addr, CmpConfig, CoreId, Cycle, LineAddr, TileId};
 
 /// A point-in-time picture of what the memory system is doing — part of
 /// the runner's diagnostic snapshot when a run wedges.
@@ -48,11 +49,20 @@ pub struct MemorySystem {
     mp_latency: Vec<u64>,
     ctrl_bytes: u32,
     n_tiles: usize,
+    /// Visit sets, one bit per tile: a clear bit means that tile's
+    /// directory (`dirs_active`) or MP-Lock manager (`mps_active`) has no
+    /// event scheduled, so ticking it would be a no-op. The drain sets the
+    /// bit when it hands the controller a message, and a visit that leaves
+    /// the event queue empty (the manager quiescent) clears it. Both start
+    /// all-set, at construction and after a load.
+    dirs_active: ActivitySet,
+    mps_active: ActivitySet,
+    /// A set bit means that core's spin is parked at its L1 (see
+    /// [`L1Cache::park`]): neither the L1 nor the core is visited until a
+    /// message reaches the L1. Starts empty; a resumed machine starts
+    /// unparked.
+    parked: ActivitySet,
 }
-glocks_sim_base::snap!(MemorySystem mark "mem" {
-    l1s as fixed, dirs as fixed, store, net, mp_managers as fixed, mp_fabric;
-    skip drain_buf, mp_out_buf, mp_latency, ctrl_bytes, n_tiles
-});
 
 impl MemorySystem {
     pub fn new(cfg: &CmpConfig) -> Self {
@@ -72,7 +82,50 @@ impl MemorySystem {
             mp_latency: vec![MANAGER_LATENCY; MAX_MP_LOCKS as usize],
             ctrl_bytes: cfg.noc.ctrl_msg_bytes,
             n_tiles: mesh.len(),
+            dirs_active: ActivitySet::full(mesh.len()),
+            mps_active: ActivitySet::full(mesh.len()),
+            parked: ActivitySet::empty(cfg.num_cores),
         }
+    }
+
+    /// Serialize the memory system as the dense loop holds it after its
+    /// tick of cycle `through`: a parked L1 saves a settled clone. The
+    /// layout is that of a `snap!` declaration of the saved fields.
+    pub fn save(&self, w: &mut SnapWriter, through: Cycle) {
+        w.mark("mem");
+        w.usize(self.l1s.len());
+        for l1 in &self.l1s {
+            if l1.is_parked() {
+                let mut dense = l1.clone();
+                dense.unpark(through);
+                dense.save(w);
+            } else {
+                l1.save(w);
+            }
+        }
+        fixed::save(&self.dirs, w);
+        self.store.save(w);
+        self.net.save(w);
+        fixed::save(&self.mp_managers, w);
+        self.mp_fabric.save(w);
+    }
+
+    /// Load what [`Self::save`] wrote. Nothing is left parked, and the
+    /// router and visit sets start all-set, so the first tick re-derives
+    /// them.
+    pub fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.expect("mem")?;
+        fixed::load(&mut self.l1s, r)?;
+        fixed::load(&mut self.dirs, r)?;
+        Snap::load(&mut self.store, r)?;
+        self.net.load(r)?;
+        fixed::load(&mut self.mp_managers, r)?;
+        self.mp_fabric.load(r)?;
+        self.net.wake_routers();
+        self.dirs_active.fill();
+        self.mps_active.fill();
+        self.parked.clear();
+        Ok(())
     }
 
     /// The MP-Locks NIC handle for lock backends.
@@ -117,6 +170,7 @@ impl MemorySystem {
 
     /// Park `core`'s spin on `addr` at its L1 (see [`L1Cache::park`]).
     pub fn park(&mut self, core: CoreId, addr: Addr, value: u64, now: Cycle) -> Park {
+        self.parked.insert(core.index());
         self.l1s[core.index()].park(addr, value, now)
     }
 
@@ -128,13 +182,18 @@ impl MemorySystem {
     }
 
     /// True while `core`'s spin is parked at its L1.
+    #[inline]
     pub fn is_parked(&self, core: CoreId) -> bool {
-        self.l1s[core.index()].is_parked()
+        self.parked.contains(core.index())
     }
 
-    /// Settle `core`'s parked spin at a cycle boundary.
-    pub fn unpark(&mut self, core: CoreId) {
-        self.l1s[core.index()].unpark();
+    /// Settle `core`'s parked spin at a cycle boundary, where the core and
+    /// its L1 have both ticked through `through`.
+    pub fn unpark(&mut self, core: CoreId, through: Cycle) {
+        if self.is_parked(core) {
+            self.parked.remove(core.index());
+            self.l1s[core.index()].unpark(through);
+        }
     }
 
     /// Advance the memory world by one cycle. Call once per simulated cycle
@@ -143,7 +202,9 @@ impl MemorySystem {
         // 1. The fabric moves packets.
         self.net.tick(now);
         // 2. Deliver arrived packets to their tile's L1, directory, NIC
-        //    or lock manager.
+        //    or lock manager. A message enters its directory or manager
+        //    into that visit set, and one reaching an L1 settles a spin
+        //    parked there.
         for t in 0..self.dirs.len() {
             if !self.net.has_deliveries(TileId(t as u16)) {
                 continue;
@@ -155,8 +216,10 @@ impl MemorySystem {
                     SysMsg::Coh(msg) => {
                         if msg.to_directory() {
                             self.dirs[t].handle_msg(msg, now, &mut self.store, &mut self.net);
+                            self.dirs_active.insert(t);
                         } else {
                             self.l1s[t].handle_msg(msg, now, &mut self.store, &mut self.net);
+                            self.parked.remove(t);
                         }
                     }
                     SysMsg::Lock(MpLockMsg::Grant { lock }) => {
@@ -168,16 +231,26 @@ impl MemorySystem {
                             MpLockMsg::Grant { .. } => unreachable!("handled above"),
                         };
                         self.mp_managers[t].handle(msg, now, self.mp_latency[lock as usize]);
+                        self.mps_active.insert(t);
                     }
                 }
             }
         }
-        // 3. Controllers process their scheduled work.
-        for l1 in &mut self.l1s {
-            l1.tick(now, &mut self.store, &mut self.net);
+        // 3. Controllers process their scheduled work: the unparked L1s,
+        //    then the directories in the visit set, in ascending tile
+        //    order as over every tile.
+        for (i, l1) in self.l1s.iter_mut().enumerate() {
+            if !self.parked.contains(i) {
+                l1.tick(now, &mut self.store, &mut self.net);
+            }
         }
-        for dir in &mut self.dirs {
-            dir.tick(now, &mut self.store, &mut self.net);
+        let mut from = 0;
+        while let Some(t) = self.dirs_active.next(from) {
+            from = t + 1;
+            self.dirs[t].tick(now, &mut self.store, &mut self.net);
+            if !self.dirs[t].has_events() {
+                self.dirs_active.remove(t);
+            }
         }
         // 4. MP-Locks: NIC outbox → network; manager decisions → network.
         while let Some((core, msg)) = self.mp_fabric.pop_outgoing() {
@@ -187,10 +260,9 @@ impl MemorySystem {
             };
             self.inject_mp(TileId(core.0), dst, msg, now);
         }
-        for t in 0..self.mp_managers.len() {
-            if self.mp_managers[t].is_quiescent() {
-                continue;
-            }
+        let mut from = 0;
+        while let Some(t) = self.mps_active.next(from) {
+            from = t + 1;
             self.mp_managers[t].tick(now);
             self.mp_out_buf.clear();
             self.mp_managers[t].take_outgoing(&mut self.mp_out_buf);
@@ -198,7 +270,40 @@ impl MemorySystem {
                 let (core, msg) = self.mp_out_buf[i];
                 self.inject_mp(TileId(t as u16), TileId(core.0), msg, now);
             }
+            if self.mp_managers[t].is_quiescent() {
+                self.mps_active.remove(t);
+            }
         }
+        if cfg!(debug_assertions) {
+            if let Some(v) = self.activity_violation() {
+                panic!("cycle {now}: {v}");
+            }
+        }
+    }
+
+    /// The first breach of the activity sets' invariants, if any: a
+    /// router, directory or MP-Lock manager holding work behind a clear
+    /// bit, or a parked set that disagrees with the L1s' own park state.
+    /// Debug builds check it after every tick, since a set bug the dense
+    /// and event-driven loops share would escape their comparison.
+    fn activity_violation(&self) -> Option<String> {
+        if let Some(t) = self.net.idle_router_with_packets() {
+            return Some(format!("router {t} holds packets outside its activity set"));
+        }
+        for t in 0..self.n_tiles {
+            if !self.dirs_active.contains(t) && self.dirs[t].has_events() {
+                return Some(format!("directory {t} holds events outside its visit set"));
+            }
+            if !self.mps_active.contains(t) && !self.mp_managers[t].is_quiescent() {
+                return Some(format!("MP-Lock manager {t} holds work outside its visit set"));
+            }
+        }
+        let i = (0..self.l1s.len()).find(|&i| self.parked.contains(i) != self.l1s[i].is_parked())?;
+        Some(format!(
+            "core {i}: parked set {}, L1 {}",
+            self.parked.contains(i),
+            self.l1s[i].is_parked()
+        ))
     }
 
     /// True when no packet, transaction or pending L1 request exists (used
@@ -598,6 +703,51 @@ mod tests {
             sys.tick(now);
         }
         assert!(sys.is_quiescent());
+    }
+
+    /// Save `sys` at the boundary after its tick of `through`.
+    fn image(sys: &MemorySystem, through: Cycle) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        sys.save(&mut w, through);
+        w.into_bytes()
+    }
+
+    /// On a 100-tile machine the directory visit set spans two words: a
+    /// miss homed at tile 77 enters that directory into the set, the set
+    /// empties once its queue drains, and a machine resumed mid-miss ticks
+    /// to the same state as the straight one.
+    #[test]
+    fn visit_sets_follow_a_miss_homed_past_the_first_word() {
+        let cfg = CmpConfig::paper_baseline().with_cores(100);
+        let mut sys = MemorySystem::new(&cfg);
+        let (core, home) = (CoreId(3), 77);
+        let a = Addr(home as u64 * cfg.line_bytes);
+        sys.submit(core, MemOp::Load(a), 0);
+        // The first tick clears every idle directory and manager.
+        sys.tick(0);
+        assert_eq!(sys.dirs_active.next(0), None);
+        assert_eq!(sys.mps_active.next(0), None);
+        let mut now = 1;
+        while !sys.dirs_active.contains(home) {
+            sys.tick(now);
+            now += 1;
+            assert!(now < 1_000, "the GetS never reached its home");
+        }
+        assert_eq!(sys.dirs_active.next(0), Some(home), "only the home directory holds work");
+        let mut resumed = MemorySystem::new(&cfg);
+        resumed.load(&mut SnapReader::new(&image(&sys, now - 1))).unwrap();
+        let run = |sys: &mut MemorySystem| {
+            let mut result = None;
+            for t in now..now + 2_000 {
+                sys.tick(t);
+                result = result.or(sys.take_result(core));
+            }
+            (result.expect("the miss completes"), image(sys, now + 1_999))
+        };
+        let straight = run(&mut sys);
+        assert_eq!(run(&mut resumed), straight, "resumed mid-miss, the state differs");
+        assert!(sys.is_quiescent());
+        assert_eq!(sys.dirs_active.next(0), None, "a drained directory stays in the set");
     }
 
     #[test]

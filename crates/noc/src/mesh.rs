@@ -5,7 +5,7 @@ use crate::packet::{Packet, TrafficClass};
 use crate::router::{Queued, Router, N_PORTS, P_EAST, P_LOCAL, P_NORTH, P_SOUTH, P_WEST};
 use crate::traffic::TrafficStats;
 use glocks_sim_base::fault::{FaultDecision, FaultInjector};
-use glocks_sim_base::{config::NocConfig, Cycle, Mesh2D, TileId};
+use glocks_sim_base::{config::NocConfig, ActivitySet, Cycle, Mesh2D, TileId};
 use glocks_stats as gstats;
 use std::collections::VecDeque;
 
@@ -19,7 +19,7 @@ pub struct MeshNoc<T> {
     /// clears it when it finds the router empty, and a new fabric starts
     /// all-set (so a machine rebuilt to resume a checkpoint re-derives it
     /// on its first tick instead of saving it).
-    active: Vec<u64>,
+    active: ActivitySet,
     /// Packets ejected at each tile, eligible once `ready_at` is reached.
     delivered: Vec<VecDeque<(Cycle, Packet<T>)>>,
     stats: TrafficStats,
@@ -68,9 +68,7 @@ impl<T> MeshNoc<T> {
             mesh,
             cfg,
             routers: (0..mesh.len()).map(|_| Router::new()).collect(),
-            active: (0..mesh.len().div_ceil(64))
-                .map(|w| u64::MAX >> (64 * (w + 1)).saturating_sub(mesh.len()))
-                .collect(),
+            active: ActivitySet::full(mesh.len()),
             delivered: (0..mesh.len()).map(|_| VecDeque::new()).collect(),
             stats: TrafficStats::default(),
             in_flight: 0,
@@ -180,7 +178,7 @@ impl<T> MeshNoc<T> {
         let ready = now + self.cfg.router_latency + extra;
         let r = pkt.src.index();
         self.routers[r].in_q[P_LOCAL].push_back(Queued { pkt, ready_at: ready });
-        self.active[r / 64] |= 1 << (r % 64);
+        self.active.insert(r);
     }
 
     /// Output port at router `at` for a packet heading to `dst`.
@@ -251,11 +249,11 @@ impl<T> MeshNoc<T> {
         // earliest, so a router that joins the set during the walk has
         // nothing to send until the next cycle.
         let mut from = 0;
-        while let Some(r) = self.next_active(from) {
+        while let Some(r) = self.active.next(from) {
             from = r + 1;
             // A dead router was purged at its kill and receives nothing.
             if self.routers[r].occupancy() == 0 || self.router_is_dead(r) {
-                self.active[r / 64] &= !(1 << (r % 64));
+                self.active.remove(r);
                 continue;
             }
             let tile = TileId::from(r);
@@ -303,21 +301,25 @@ impl<T> MeshNoc<T> {
                         now + ser + self.cfg.link_latency + self.cfg.router_latency;
                     self.routers[next.index()].in_q[Self::opposite(out)]
                         .push_back(Queued { pkt: q.pkt, ready_at: arrive });
-                    self.active[next.index() / 64] |= 1 << (next.index() % 64);
+                    self.active.insert(next.index());
                 }
             }
         }
     }
 
-    /// The first router at or after index `from` in the activity set.
-    fn next_active(&self, from: usize) -> Option<usize> {
-        let mut w = from / 64;
-        let mut bits = self.active.get(w)? & (u64::MAX << (from % 64));
-        while bits == 0 {
-            w += 1;
-            bits = *self.active.get(w)?;
-        }
-        Some(w * 64 + bits.trailing_zeros() as usize)
+    /// Mark every router active, so the next tick re-derives the set (a
+    /// load restores the queues but not the set).
+    pub fn wake_routers(&mut self) {
+        self.active.fill();
+    }
+
+    /// The first router whose bit is clear yet holds a packet, if any:
+    /// a breach of the activity set's invariant (debug builds check it
+    /// after every memory-system tick).
+    pub fn idle_router_with_packets(&self) -> Option<TileId> {
+        (0..self.routers.len())
+            .find(|&r| !self.active.contains(r) && self.routers[r].occupancy() > 0)
+            .map(TileId::from)
     }
 
     /// Does `tile`'s delivery buffer hold a packet, ready or not?

@@ -4,9 +4,11 @@
 //! the simulated machine: identifiers ([`ids`]), the 2D-mesh floor plan
 //! ([`geom`]), the architectural configuration of the simulated CMP
 //! ([`config`], reproducing Table II of the paper), simple statistics
-//! containers ([`stats`]), a deterministic RNG ([`rng`]) and plain-text
-//! table rendering used by the experiment harness ([`table`]).
+//! containers ([`stats`]), a deterministic RNG ([`rng`]), the activity
+//! sets per-cycle loops walk ([`activity`]) and plain-text table rendering
+//! used by the experiment harness ([`table`]).
 
+pub mod activity;
 pub mod config;
 pub mod fault;
 pub mod geom;
@@ -17,6 +19,7 @@ pub mod stats;
 pub mod table;
 pub mod trace;
 
+pub use activity::ActivitySet;
 pub use config::{CacheConfig, CmpConfig, GlockConfig, NocConfig};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultRates, FaultSite, FaultStats};
 pub use geom::{Coord, Mesh2D};

@@ -261,6 +261,10 @@ pub struct Simulation {
     /// drive the repair → probe → drain → re-arm lifecycle.
     failback_ctls: Vec<Rc<FailbackCtl>>,
     now: Cycle,
+    /// Sum of every core's progress events, kept as the cores tick so the
+    /// watchdog never reads a parked core (a parked core makes none).
+    /// Host-side: recomputed from the cores on load.
+    progress: u64,
     /// Watchdog memory: highest progress-event sum seen and when.
     progress_mark: (u64, Cycle),
     /// Digest of the machine specification; gates snapshot restores.
@@ -466,6 +470,7 @@ impl Simulation {
             checker,
             failback_ctls,
             now: 0,
+            progress: 0,
             progress_mark: (0, 0),
             fingerprint,
             started: Instant::now(),
@@ -589,13 +594,18 @@ impl Simulation {
             return Ok(true);
         }
         let mut all_done = true;
-        let mut progress_sum = 0u64;
         {
             let backends = Backends { locks: &self.locks, barrier: self.barrier.as_ref() };
-            for core in &mut self.cores {
+            for (i, core) in self.cores.iter_mut().enumerate() {
+                // A parked spin is settled when its core is next visited.
+                if self.mem.is_parked(CoreId(i as u16)) {
+                    all_done = false;
+                    continue;
+                }
+                let before = core.progress_events();
                 core.tick(self.now, &mut self.mem, &backends, &mut self.tracker);
                 all_done &= core.is_finished();
-                progress_sum += core.progress_events();
+                self.progress += core.progress_events() - before;
             }
         }
         self.tick_devices();
@@ -615,8 +625,8 @@ impl Simulation {
         if all_done {
             return Ok(true);
         }
-        if progress_sum > self.progress_mark.0 {
-            self.progress_mark = (progress_sum, self.now);
+        if self.progress > self.progress_mark.0 {
+            self.progress_mark = (self.progress, self.now);
         } else if self
             .cores
             .iter()
@@ -822,6 +832,9 @@ impl Simulation {
     /// [`SnapError::Unsupported`] if any component (an exotic workload, a
     /// backend without snapshot support) has not opted into checkpointing.
     pub fn checkpoint(&self) -> Result<Snapshot, SnapError> {
+        // Parked spins are saved settled through the last executed cycle
+        // (nothing parks before cycle 1).
+        let through = self.now.saturating_sub(1);
         let mut w = SnapWriter::new();
         w.u32(SNAP_MAGIC);
         w.u32(SNAP_VERSION);
@@ -831,10 +844,10 @@ impl Simulation {
         self.progress_mark.save(&mut w);
         w.usize(self.cores.len());
         for core in &self.cores {
-            core.save_state(&mut w)?;
+            core.save_state(&mut w, through)?;
         }
         self.tracker.save(&mut w);
-        self.mem.save(&mut w);
+        self.mem.save(&mut w, through);
         fixed::save(&self.glock_nets, &mut w);
         present::save(&self.gbarrier, &mut w);
         present::save(&self.pool, &mut w);
@@ -902,6 +915,7 @@ impl Simulation {
             return Err(SnapError::Corrupt { what: "trailing snapshot bytes" });
         }
         self.now = snapshot.cycle();
+        self.progress = self.cores.iter().map(Core::progress_events).sum();
         self.progress_mark = progress_mark;
         Ok(())
     }
@@ -912,10 +926,11 @@ impl Simulation {
     pub fn finish(mut self) -> Result<(SimReport, MemorySystem), SimError> {
         let finish_at = self.now;
         // Only a core still spinning can be parked, so this settles nothing
-        // after a completed run; a caller that stops early gets the totals
-        // of the dense loop.
+        // after a completed run; a caller that stops early, after `step`
+        // executed cycle `now - 1`, gets the totals of the dense loop.
+        let through = self.now.saturating_sub(1);
         for core in &mut self.cores {
-            core.unpark(&mut self.mem);
+            core.unpark(&mut self.mem, through);
         }
         // Drain in-flight writebacks so the traffic/energy totals settle.
         // The G-line networks only tick while they report pending work, so

@@ -36,9 +36,11 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Adopt a buffer produced by [`crate::Simulation::checkpoint`] in
-    /// this process (header already well-formed by construction).
-    pub(crate) fn from_trusted(bytes: Vec<u8>) -> Self {
+    /// this process (header already well-formed by construction), without
+    /// the spare capacity the writer's doubling left behind.
+    pub(crate) fn from_trusted(mut bytes: Vec<u8>) -> Self {
         debug_assert!(Self::parse_header(&bytes).is_ok());
+        bytes.shrink_to_fit();
         Snapshot { bytes }
     }
 
@@ -119,6 +121,14 @@ mod tests {
         assert_eq!(s.cycle(), 42);
         assert_eq!(s.len(), HEADER_BYTES);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn trusted_images_hold_no_spare_capacity() {
+        let mut bytes = header(SNAP_MAGIC, SNAP_VERSION, 0, 7);
+        bytes.reserve(4096);
+        let s = Snapshot::from_trusted(bytes);
+        assert_eq!(s.bytes.capacity(), HEADER_BYTES);
     }
 
     #[test]

@@ -127,15 +127,11 @@ fn show(path: &str) -> ExitCode {
     }
     outln!("series ({}):", d.series.len());
     for (k, s) in &d.series {
-        let mean = if s.points.is_empty() {
-            0.0
-        } else {
-            s.points.iter().sum::<f64>() / s.points.len() as f64
-        };
         outln!(
-            "  {k:<48} n={} period={} mean={mean:.2}",
-            s.points.len(),
-            s.period
+            "  {k:<48} n={} period={} mean={:.2}",
+            s.len(),
+            s.period,
+            s.mean()
         );
     }
     ExitCode::SUCCESS

@@ -150,13 +150,8 @@ pub fn diff(old: &StatsDump, new: &StatsDump, opts: &DiffOptions) -> DiffReport 
             out.push((format!("{k}.p99"), h.percentile(0.99) as f64));
         }
         for (k, s) in &d.series {
-            out.push((format!("{k}.n"), s.points.len() as f64));
-            let mean = if s.points.is_empty() {
-                0.0
-            } else {
-                s.points.iter().sum::<f64>() / s.points.len() as f64
-            };
-            out.push((format!("{k}.mean"), mean));
+            out.push((format!("{k}.n"), s.len() as f64));
+            out.push((format!("{k}.mean"), s.mean()));
         }
         out
     };

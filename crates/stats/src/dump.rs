@@ -96,16 +96,77 @@ impl HistDump {
 }
 
 /// Exported form of a [`TimeSeries`].
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The points are held as runs of bit-identical neighbours wherever that
+/// takes less room than one slot per point. A gauge of an idle component
+/// (a router's queue depth between bursts) is mostly long runs of zeros,
+/// so a report that keeps its dump holds a few runs for such a series
+/// instead of 8 bytes for each of up to [`crate::series::SERIES_CAP`]
+/// points. Either way [`SeriesDump::points`] yields the same sequence.
+#[derive(Clone, Debug)]
 pub struct SeriesDump {
     /// Cycles between consecutive points (after any decimation).
     pub period: u64,
-    pub points: Vec<f64>,
+    /// One value per run, or one per point when `repeats` is empty.
+    values: Vec<f64>,
+    /// How many points each run of `values` stands for.
+    repeats: Vec<usize>,
 }
 
 impl SeriesDump {
     pub fn from_series(s: &TimeSeries) -> Self {
-        SeriesDump { period: s.period(), points: s.points().to_vec() }
+        Self::new(s.period(), s.points())
+    }
+
+    /// The series of `points`, spaced `period` cycles apart.
+    pub fn new(period: u64, points: &[f64]) -> Self {
+        let runs = || points.chunk_by(|a, b| a.to_bits() == b.to_bits());
+        let n = runs().count();
+        // A run takes two slots, a point one.
+        if 2 * n >= points.len() {
+            return SeriesDump { period, values: points.to_vec(), repeats: Vec::new() };
+        }
+        let (mut values, mut repeats) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for run in runs() {
+            values.push(run[0]);
+            repeats.push(run.len());
+        }
+        SeriesDump { period, values, repeats }
+    }
+
+    /// The points in order.
+    pub fn points(&self) -> impl Iterator<Item = f64> + '_ {
+        let repeats = |i: usize| self.repeats.get(i).copied().unwrap_or(1);
+        let runs = self.values.iter().enumerate();
+        runs.flat_map(move |(i, &v)| std::iter::repeat_n(v, repeats(i)))
+    }
+
+    pub fn len(&self) -> usize {
+        if self.repeats.is_empty() {
+            self.values.len()
+        } else {
+            self.repeats.iter().sum()
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Mean of the points, summed in order; 0 for an empty series.
+    pub fn mean(&self) -> f64 {
+        if self.is_empty() {
+            0.0
+        } else {
+            self.points().sum::<f64>() / self.len() as f64
+        }
+    }
+}
+
+/// Equal periods and pointwise-equal points, however each side holds them.
+impl PartialEq for SeriesDump {
+    fn eq(&self, other: &Self) -> bool {
+        self.period == other.period && self.points().eq(other.points())
     }
 }
 
@@ -187,7 +248,7 @@ impl StatsDump {
                         m.insert("period".to_string(), Json::UInt(s.period));
                         m.insert(
                             "points".to_string(),
-                            Json::Arr(s.points.iter().map(|&p| Json::Num(p)).collect()),
+                            Json::Arr(s.points().map(Json::Num).collect()),
                         );
                         (k.clone(), Json::Obj(m))
                     })
@@ -271,7 +332,7 @@ impl StatsDump {
                 {
                     points.push(p.as_f64().ok_or("series point not a number")?);
                 }
-                dump.series.insert(k.clone(), SeriesDump { period, points });
+                dump.series.insert(k.clone(), SeriesDump::new(period, &points));
             }
         }
         Ok(dump)
@@ -307,9 +368,9 @@ impl StatsDump {
         for (k, s) in &self.series {
             let name = esc(k);
             out.push_str(&format!("series,{name},period,{}\n", s.period));
-            for (i, p) in s.points.iter().enumerate() {
+            for (i, p) in s.points().enumerate() {
                 let mut pv = String::new();
-                json::write_f64(&mut pv, *p);
+                json::write_f64(&mut pv, p);
                 out.push_str(&format!("series,{name},p{i},{pv}\n"));
             }
         }
@@ -380,6 +441,49 @@ mod tests {
         assert!(csv.contains("hist,lock.0.handoff_cycles,count,100\n"));
         assert!(csv.contains("series,noc.router.1_1.queue_depth,period,64\n"));
         assert!(csv.contains("meta,bench,value,SCTR\n"));
+    }
+
+    /// Heap bytes a series dump holds.
+    fn held(s: &SeriesDump) -> usize {
+        8 * s.values.capacity() + 8 * s.repeats.capacity()
+    }
+
+    #[test]
+    fn idle_gauges_are_held_as_runs_and_replay_bit_for_bit() {
+        // A decimated queue-depth gauge: zeros with a few short bursts,
+        // and a negative zero and a NaN that must keep their own bits.
+        let mut points = vec![0.0; crate::series::SERIES_CAP + 1];
+        for (i, v) in [(3, 1.0), (4, 1.0), (700, 2.0), (701, -0.0), (1500, f64::NAN)] {
+            points[i] = v;
+        }
+        let s = SeriesDump::new(64, &points);
+        assert_eq!(s.len(), points.len());
+        let back: Vec<u64> = s.points().map(f64::to_bits).collect();
+        assert_eq!(back, points.iter().map(|p| p.to_bits()).collect::<Vec<_>>());
+        assert_eq!(s.values.len(), 8, "runs of 0, 1, 0, 2, -0, 0, NaN, 0");
+        assert_eq!(held(&s), 16 * 8);
+        let sum: f64 = points[..1500].iter().sum();
+        assert_eq!(SeriesDump::new(64, &points[..1500]).mean(), sum / 1500.0);
+        // It encodes as the same points held one slot each.
+        let json = |s: SeriesDump| {
+            let mut d = StatsDump { schema_version: SCHEMA_VERSION, ..StatsDump::default() };
+            d.series.insert("q".into(), s);
+            d.to_json()
+        };
+        let plain = SeriesDump { period: 64, values: points.clone(), repeats: Vec::new() };
+        assert_eq!(json(s), json(plain));
+    }
+
+    #[test]
+    fn busy_gauges_keep_one_slot_per_point() {
+        let points: Vec<f64> = (0..1000).map(|i| f64::from(i / 2)).collect();
+        let s = SeriesDump::new(8, &points);
+        assert!(s.repeats.is_empty());
+        assert_eq!(held(&s), 8 * points.len());
+        assert_eq!(s.points().collect::<Vec<_>>(), points);
+        assert_eq!(s, SeriesDump::new(8, &points));
+        assert_ne!(s, SeriesDump::new(8, &points[1..]));
+        assert!(SeriesDump::new(8, &[]).is_empty());
     }
 
     #[test]

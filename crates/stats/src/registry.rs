@@ -392,7 +392,7 @@ mod tests {
         let d = snapshot();
         assert_eq!(d.counters["a.count"], 6);
         assert_eq!(d.hists["a.lat"].count, 1);
-        assert_eq!(d.series["a.q"].points, vec![1.5]);
+        assert_eq!(d.series["a.q"].points().collect::<Vec<_>>(), vec![1.5]);
         assert_eq!(d.meta["bench"], "SCTR");
         disable();
         assert!(snapshot().counters.is_empty());

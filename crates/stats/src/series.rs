@@ -50,6 +50,11 @@ impl TimeSeries {
             return;
         }
         self.pending = 0;
+        if self.points.len() == self.points.capacity() {
+            // Grow by doubling, but never past the most decimation keeps.
+            let cap = (2 * self.points.len()).clamp(4, SERIES_CAP + 1);
+            self.points.reserve_exact(cap - self.points.len());
+        }
         self.points.push(v);
         if self.points.len() > SERIES_CAP {
             // Keep even indices: points stay evenly spaced at 2x period.
@@ -95,6 +100,23 @@ mod tests {
         assert_eq!(pts[0], 0.0);
         assert_eq!(pts[1] - pts[0], 8.0);
         assert_eq!(pts[2] - pts[1], 8.0);
+    }
+
+    #[test]
+    fn storage_never_outgrows_what_decimation_keeps() {
+        let mut s = TimeSeries::new(1);
+        for v in 0..(SERIES_CAP * 10) {
+            s.push(v as f64);
+            assert!(s.points.capacity() <= SERIES_CAP + 1, "capacity {}", s.points.capacity());
+        }
+        // A series restored at an odd length grows to the same bound.
+        let mut restored = TimeSeries::new(1);
+        restored.points = vec![0.0; SERIES_CAP - 300];
+        restored.points.shrink_to_fit();
+        for v in 0..(SERIES_CAP * 2) {
+            restored.push(v as f64);
+            assert!(restored.points.capacity() <= SERIES_CAP + 1);
+        }
     }
 
     #[test]
