@@ -94,10 +94,6 @@ pub struct Core {
     halt_at: Option<Cycle>,
     /// Whether local spins may park (the event-driven runner's choice).
     parking: bool,
-    /// The parked spin, if any: its charges are settled lazily. Boxed,
-    /// because held inline it enlarged every core and measurably slowed
-    /// `Simulation::new` and workloads that never park.
-    park: Option<Box<Park>>,
     /// Polls settled in bulk so far (host-side, never saved).
     parked_polls: u64,
 }
@@ -118,7 +114,6 @@ impl Core {
             progress_events: 0,
             halt_at: None,
             parking: false,
-            park: None,
             parked_polls: 0,
         }
     }
@@ -126,11 +121,6 @@ impl Core {
     /// Let this core park its local spins (see [`Core::tick`]).
     pub fn enable_parking(&mut self) {
         self.parking = true;
-    }
-
-    /// True while this core's spin is parked.
-    pub fn is_parked(&self) -> bool {
-        self.park.is_some()
     }
 
     /// Polls replayed in bulk by settled parks: a host-side count that no
@@ -251,14 +241,13 @@ impl Core {
         }
     }
 
-    /// Serialize this core's dynamic state as the dense loop holds it after
-    /// the core's tick of cycle `through`. The workload and any
-    /// in-progress lock/barrier sub-script save through their traits, so
-    /// this fails with [`SnapError::Unsupported`] unless every piece has
-    /// opted into checkpointing. Hand-written, like [`Core::load_state`]
-    /// beside it, because a sub-script is rebuilt by the backend that made
-    /// it.
-    pub fn save_state(&self, w: &mut SnapWriter, through: Cycle) -> Result<(), SnapError> {
+    /// Serialize this core's dynamic state; a parked spin must be settled
+    /// first ([`Core::settle`]). The workload and any in-progress
+    /// lock/barrier sub-script save through their traits, so this fails
+    /// with [`SnapError::Unsupported`] unless every piece has opted into
+    /// checkpointing. Hand-written, like [`Core::load_state`] beside it,
+    /// because a sub-script is rebuilt by the backend that made it.
+    pub fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         let Core {
             id: _,
             tid: _,
@@ -272,13 +261,8 @@ impl Core {
             progress_events,
             halt_at,
             parking: _,
-            park,
             parked_polls: _,
         } = self;
-        // A parked core saves the charges its dense poll loop holds. Its
-        // park may outlive its L1's: a message that unparks the L1 settles
-        // only the L1's side, and the core settles its own on its next tick.
-        let breakdown = park.as_ref().map_or(*breakdown, |p| self.settled(p, through));
         w.mark("core");
         state.save(w);
         workload.save_state(w)?;
@@ -317,10 +301,8 @@ impl Core {
             progress_events,
             halt_at,
             parking: _,
-            park,
             parked_polls: _,
         } = self;
-        *park = None;
         r.expect("core")?;
         state.load(r)?;
         workload.load_state(r)?;
@@ -428,28 +410,15 @@ impl Core {
         }
     }
 
-    /// The breakdown the dense poll loop holds after the parked core's
-    /// tick of cycle `through`: one instruction per poll, and every cycle
-    /// charged to the spinning script's category.
-    fn settled(&self, p: &Park, through: Cycle) -> Breakdown {
-        let mut b = self.breakdown;
-        b.instructions += p.polls(through);
-        b.charge(self.category(), p.cycles(through));
-        b
-    }
-
-    fn settle(&mut self, through: Cycle) {
-        if let Some(p) = self.park.take() {
-            self.breakdown = self.settled(&p, through);
-            self.parked_polls += p.polls(through);
-        }
-    }
-
-    /// Settle a parked spin on both sides at a cycle boundary, where the
-    /// machine has executed cycles up to `through`.
-    pub fn unpark(&mut self, mem: &mut MemorySystem, through: Cycle) {
-        mem.unpark(self.id, through);
-        self.settle(through);
+    /// Settle this core's side of its parked spin `p` through its tick of
+    /// cycle `through`, as the dense poll loop charges it: one instruction
+    /// per poll, and every cycle charged to the spinning script's
+    /// category.
+    pub fn settle(&mut self, p: &Park, through: Cycle) {
+        let polls = p.polls(through);
+        self.breakdown.instructions += polls;
+        self.breakdown.charge(self.category(), p.cycles(through));
+        self.parked_polls += polls;
     }
 
     /// Advance this core by one cycle.
@@ -459,8 +428,8 @@ impl Core {
     /// [`Spin::Load`] before it was resumed with the loaded value, and it
     /// polled `Load(a)` again. From then on neither this core nor its L1
     /// is visited ([`MemorySystem::is_parked`]) until a coherence message
-    /// reaches the L1, which settles the L1's side; the core settles its
-    /// own on its next tick, through the cycle before it.
+    /// reaches the L1, which settles both sides through that cycle
+    /// ([`MemorySystem::drain_woken`]).
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -476,10 +445,7 @@ impl Core {
             // `progress_events` stops — exactly what the watchdog samples.
             return;
         }
-        if self.park.is_some() {
-            debug_assert!(!mem.is_parked(self.id), "core {}: ticked while parked", self.id);
-            self.settle(now - 1);
-        }
+        debug_assert!(!mem.is_parked(self.id), "core {}: ticked while parked", self.id);
         // The word a declared memory spin just read in its L1, if this
         // core may park on it.
         let mut repoll = None;
@@ -621,8 +587,7 @@ impl Core {
                     mem.submit(self.id, op, now);
                     self.state = State::WaitingMem;
                     if polled.is_some_and(|a| op == MemOp::Load(a)) {
-                        let park = mem.park(self.id, op.addr(), self.last_value, now);
-                        self.park = Some(Box::new(park));
+                        mem.park(self.id, op.addr(), self.last_value, now);
                     }
                     return;
                 }

@@ -8,7 +8,6 @@ use glocks_sim_base::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-#[derive(Clone)]
 struct Entry<T> {
     at: Cycle,
     seq: u64,
@@ -34,7 +33,6 @@ impl<T> Ord for Entry<T> {
 }
 
 /// Min-heap of `(cycle, item)` with FIFO tie-breaking.
-#[derive(Clone)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Reverse<Entry<T>>>,
     next_seq: u64,

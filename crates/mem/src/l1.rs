@@ -11,7 +11,6 @@ use crate::events::EventQueue;
 use crate::msg::{CoherenceMsg, MemOp, MemResult, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet};
-use glocks_sim_base::snap::{SnapError, SnapReader, SnapWriter};
 use glocks_sim_base::stats::CounterSet;
 use glocks_sim_base::trace::TraceMask;
 use glocks_sim_base::{trace_event, Addr, CmpConfig, CoreId, Cycle, LineAddr, TileId};
@@ -38,9 +37,9 @@ struct Pending {
 glocks_sim_base::snap!(Pending { op, line, is_upgrade, stalled_on_wb });
 
 /// A parked local spin (see [`L1Cache::park`]): the core re-polls
-/// `Load(addr)`, which hit this L1 with `value`. The core keeps a copy for
-/// its own half of the accounting. Neither owner is visited while parked,
-/// so each settle point passes in the last cycle its owner would have
+/// `Load(addr)`, which hit this L1 with `value`. The memory system holds
+/// the only copy. Neither the core nor the L1 is visited while it is
+/// held, so a settle point passes in the last cycle each side would have
 /// ticked.
 #[derive(Clone, Copy, Debug)]
 pub struct Park {
@@ -67,7 +66,6 @@ impl Park {
 }
 
 /// One L1 data cache + controller.
-#[derive(Clone)]
 pub struct L1Cache {
     core: CoreId,
     array: CacheArray<L1State>,
@@ -87,48 +85,11 @@ pub struct L1Cache {
     num_tiles: usize,
     ctrl_bytes: u32,
     data_bytes: u32,
-    /// The core's spin, while parked; host-side, never saved. Boxed for
-    /// the same reason as the core's copy.
-    park: Option<Box<Park>>,
 }
-
-/// Hand-written: a parked L1 is saved settled (`MemorySystem::save`), and
-/// a load leaves the L1 unparked.
-impl glocks_sim_base::snap::Snap for L1Cache {
-    fn save(&self, w: &mut SnapWriter) {
-        debug_assert!(self.park.is_none(), "core {}: parked L1 saved unsettled", self.core);
-        let L1Cache {
-            array, pending, wb, events, done, counters, submitted_at,
-            core: _, miss_hist: _, l1_latency: _, line_bytes: _, num_tiles: _,
-            ctrl_bytes: _, data_bytes: _, park: _,
-        } = self;
-        w.mark("l1");
-        array.save(w);
-        pending.save(w);
-        wb.save(w);
-        events.save(w);
-        done.save(w);
-        counters.save(w);
-        submitted_at.save(w);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let L1Cache {
-            array, pending, wb, events, done, counters, submitted_at,
-            core: _, miss_hist: _, l1_latency: _, line_bytes: _, num_tiles: _,
-            ctrl_bytes: _, data_bytes: _, park,
-        } = self;
-        *park = None;
-        r.expect("l1")?;
-        array.load(r)?;
-        pending.load(r)?;
-        wb.load(r)?;
-        events.load(r)?;
-        done.load(r)?;
-        counters.load(r)?;
-        submitted_at.load(r)
-    }
-}
+glocks_sim_base::snap!(L1Cache mark "l1" {
+    array, pending, wb, events, done, counters, submitted_at;
+    skip core, miss_hist, l1_latency, line_bytes, num_tiles, ctrl_bytes, data_bytes
+});
 
 impl L1Cache {
     pub fn new(core: CoreId, cfg: &CmpConfig) -> Self {
@@ -147,7 +108,6 @@ impl L1Cache {
             num_tiles: cfg.num_cores,
             ctrl_bytes: cfg.noc.ctrl_msg_bytes,
             data_bytes: cfg.noc.data_msg_bytes,
-            park: None,
         }
     }
 
@@ -180,41 +140,27 @@ impl L1Cache {
         self.done.take()
     }
 
-    /// Park the core's spin on `addr`, whose poll was just submitted at
-    /// `now`: the previous poll hit this L1 with `value`, and the core
-    /// re-issues the same load on the cycle after every hit. Only a
-    /// coherence message reaching this L1 can change the word (a write
+    /// The record of the core's spin on `addr`, parked as its poll is
+    /// submitted at `now`: the previous poll hit this L1 with `value`, and
+    /// the core re-issues the same load on the cycle after every hit. Only
+    /// a coherence message reaching this L1 can change the word (a write
     /// elsewhere needs this copy invalidated or forwarded first), so until
     /// one arrives every poll would hit and return `value`. Neither side
-    /// ticks them; [`Self::unpark`] or the next message replays them.
-    pub fn park(&mut self, addr: Addr, value: u64, now: Cycle) -> Park {
+    /// ticks them; [`Self::unpark`] replays them.
+    pub fn park(&self, addr: Addr, value: u64, now: Cycle) -> Park {
         debug_assert!(
             self.pending.is_none() && self.done.is_none() && self.events.len() == 1,
             "core {}: parked beside other work",
             self.core
         );
-        let park = Park { addr, value, since: now, period: self.l1_latency + 1 };
-        self.park = Some(Box::new(park));
-        park
-    }
-
-    /// True while the core's spin is parked here.
-    pub fn is_parked(&self) -> bool {
-        self.park.is_some()
-    }
-
-    /// Settle a parked spin at a cycle boundary, where the core and this L1
-    /// have both ticked through `through`.
-    pub fn unpark(&mut self, through: Cycle) {
-        self.settle(through, through);
+        Park { addr, value, since: now, period: self.l1_latency + 1 }
     }
 
     /// Settle a parked spin in O(1): replay the polls the core submitted
     /// through its tick at `core_through` and their tag accesses through
     /// this L1's tick at `l1_through`, leaving exactly the state the dense
     /// loop holds.
-    fn settle(&mut self, core_through: Cycle, l1_through: Cycle) {
-        let Some(p) = self.park.take() else { return };
+    pub fn unpark(&mut self, p: &Park, core_through: Cycle, l1_through: Cycle) {
         let polls = p.polls(core_through);
         // The poll in flight now, and whether its tag access already ran.
         let last = p.since + polls * p.period;
@@ -307,7 +253,6 @@ impl L1Cache {
     /// Process due internal events (the tag-access pipeline). Never called
     /// while parked: the memory system skips parked L1s.
     pub fn tick(&mut self, now: Cycle, store: &mut WordStore, net: &mut MeshNoc<SysMsg>) {
-        debug_assert!(self.park.is_none(), "core {}: parked L1 ticked", self.core);
         while let Some((at, op)) = self.events.pop_due(now) {
             self.access(op, at, store, net);
         }
@@ -396,7 +341,8 @@ impl L1Cache {
         }
     }
 
-    /// Handle a protocol message addressed to this L1.
+    /// Handle a protocol message addressed to this L1. A spin parked here
+    /// is settled first (`MemorySystem::tick`).
     pub fn handle_msg(
         &mut self,
         msg: CoherenceMsg,
@@ -404,13 +350,6 @@ impl L1Cache {
         store: &mut WordStore,
         net: &mut MeshNoc<SysMsg>,
     ) {
-        // Any message settles a parked spin first: one for the polled line
-        // may change the word, and a `FwdGetS` for any line moves the LRU
-        // clock the polls advance. The core's poll of this cycle is already
-        // in; the tag accesses of this cycle come after the message.
-        if self.park.is_some() {
-            self.settle(now, now - 1);
-        }
         let line = msg.line();
         match msg {
             CoherenceMsg::DataS { .. } | CoherenceMsg::DataE { .. } | CoherenceMsg::DataM { .. } => {

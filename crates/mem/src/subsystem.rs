@@ -57,11 +57,16 @@ pub struct MemorySystem {
     /// all-set, at construction and after a load.
     dirs_active: ActivitySet,
     mps_active: ActivitySet,
-    /// A set bit means that core's spin is parked at its L1 (see
-    /// [`L1Cache::park`]): neither the L1 nor the core is visited until a
-    /// message reaches the L1. Starts empty; a resumed machine starts
+    /// The parked spins, one slot per core and the only record of each
+    /// (see [`L1Cache::park`]): neither a held slot's L1 nor its core is
+    /// visited until a message reaches the L1. Boxed, because held inline
+    /// the record enlarged every slot and slowed `Simulation::new` on
+    /// workloads that never park. Starts empty; a resumed machine starts
     /// unparked.
-    parked: ActivitySet,
+    parks: Vec<Option<Box<Park>>>,
+    /// Spins a message unparked during the last tick, whose cores the
+    /// runner settles next ([`Self::drain_woken`]).
+    woken: Vec<(CoreId, Box<Park>)>,
 }
 
 impl MemorySystem {
@@ -84,25 +89,18 @@ impl MemorySystem {
             n_tiles: mesh.len(),
             dirs_active: ActivitySet::full(mesh.len()),
             mps_active: ActivitySet::full(mesh.len()),
-            parked: ActivitySet::empty(cfg.num_cores),
+            parks: vec![None; cfg.num_cores],
+            woken: Vec::new(),
         }
     }
 
-    /// Serialize the memory system as the dense loop holds it after its
-    /// tick of cycle `through`: a parked L1 saves a settled clone. The
-    /// layout is that of a `snap!` declaration of the saved fields.
-    pub fn save(&self, w: &mut SnapWriter, through: Cycle) {
+    /// Serialize the memory system, every parked spin settled first
+    /// ([`Self::unpark`]). The layout is that of a `snap!` declaration of
+    /// the saved fields.
+    pub fn save(&self, w: &mut SnapWriter) {
+        debug_assert_eq!(self.parked_cores(), 0, "memory system saved with parked spins");
         w.mark("mem");
-        w.usize(self.l1s.len());
-        for l1 in &self.l1s {
-            if l1.is_parked() {
-                let mut dense = l1.clone();
-                dense.unpark(through);
-                dense.save(w);
-            } else {
-                l1.save(w);
-            }
-        }
+        fixed::save(&self.l1s, w);
         fixed::save(&self.dirs, w);
         self.store.save(w);
         self.net.save(w);
@@ -124,7 +122,7 @@ impl MemorySystem {
         self.net.wake_routers();
         self.dirs_active.fill();
         self.mps_active.fill();
-        self.parked.clear();
+        self.parks.fill(None);
         Ok(())
     }
 
@@ -169,9 +167,9 @@ impl MemorySystem {
     }
 
     /// Park `core`'s spin on `addr` at its L1 (see [`L1Cache::park`]).
-    pub fn park(&mut self, core: CoreId, addr: Addr, value: u64, now: Cycle) -> Park {
-        self.parked.insert(core.index());
-        self.l1s[core.index()].park(addr, value, now)
+    pub fn park(&mut self, core: CoreId, addr: Addr, value: u64, now: Cycle) {
+        let park = self.l1s[core.index()].park(addr, value, now);
+        self.parks[core.index()] = Some(Box::new(park));
     }
 
     /// Whether every sharer of a written line gets its `Inv`, which parking
@@ -184,26 +182,39 @@ impl MemorySystem {
     /// True while `core`'s spin is parked at its L1.
     #[inline]
     pub fn is_parked(&self, core: CoreId) -> bool {
-        self.parked.contains(core.index())
+        self.parks[core.index()].is_some()
     }
 
-    /// Settle `core`'s parked spin at a cycle boundary, where the core and
-    /// its L1 have both ticked through `through`.
-    pub fn unpark(&mut self, core: CoreId, through: Cycle) {
-        if self.is_parked(core) {
-            self.parked.remove(core.index());
-            self.l1s[core.index()].unpark(through);
-        }
+    /// Cores whose spin is parked right now.
+    pub fn parked_cores(&self) -> usize {
+        self.parks.iter().filter(|p| p.is_some()).count()
+    }
+
+    /// Settle `core`'s parked spin, if any, at a cycle boundary where the
+    /// core and its L1 have both ticked through `through`. The L1's side is
+    /// settled here; the record returned settles the core's.
+    pub fn unpark(&mut self, core: CoreId, through: Cycle) -> Option<Box<Park>> {
+        let park = self.parks[core.index()].take()?;
+        self.l1s[core.index()].unpark(&park, through, through);
+        Some(park)
+    }
+
+    /// The spins a message unparked during the last [`Self::tick`], each
+    /// settled on the L1's side; the caller settles each core's side
+    /// through that tick's cycle.
+    pub fn drain_woken(&mut self) -> std::vec::Drain<'_, (CoreId, Box<Park>)> {
+        self.woken.drain(..)
     }
 
     /// Advance the memory world by one cycle. Call once per simulated cycle
     /// *after* cores have submitted their operations for this cycle.
     pub fn tick(&mut self, now: Cycle) {
+        debug_assert!(self.woken.is_empty(), "cycle {now}: woken spins left unsettled");
         // 1. The fabric moves packets.
         self.net.tick(now);
         // 2. Deliver arrived packets to their tile's L1, directory, NIC
         //    or lock manager. A message enters its directory or manager
-        //    into that visit set, and one reaching an L1 settles a spin
+        //    into that visit set, and one reaching an L1 wakes a spin
         //    parked there.
         for t in 0..self.dirs.len() {
             if !self.net.has_deliveries(TileId(t as u16)) {
@@ -218,8 +229,17 @@ impl MemorySystem {
                             self.dirs[t].handle_msg(msg, now, &mut self.store, &mut self.net);
                             self.dirs_active.insert(t);
                         } else {
+                            // Any message settles the L1's side of a parked
+                            // spin first: one for the polled line may change
+                            // the word, and a `FwdGetS` for any line moves the
+                            // LRU clock the polls advance. The core's poll of
+                            // this cycle is already in; the tag accesses of
+                            // this cycle come after the message.
+                            if let Some(park) = self.parks[t].take() {
+                                self.l1s[t].unpark(&park, now, now - 1);
+                                self.woken.push((CoreId(t as u16), park));
+                            }
                             self.l1s[t].handle_msg(msg, now, &mut self.store, &mut self.net);
-                            self.parked.remove(t);
                         }
                     }
                     SysMsg::Lock(MpLockMsg::Grant { lock }) => {
@@ -239,8 +259,8 @@ impl MemorySystem {
         // 3. Controllers process their scheduled work: the unparked L1s,
         //    then the directories in the visit set, in ascending tile
         //    order as over every tile.
-        for (i, l1) in self.l1s.iter_mut().enumerate() {
-            if !self.parked.contains(i) {
+        for (l1, park) in self.l1s.iter_mut().zip(&self.parks) {
+            if park.is_none() {
                 l1.tick(now, &mut self.store, &mut self.net);
             }
         }
@@ -283,9 +303,8 @@ impl MemorySystem {
 
     /// The first breach of the activity sets' invariants, if any: a
     /// router, directory or MP-Lock manager holding work behind a clear
-    /// bit, or a parked set that disagrees with the L1s' own park state.
-    /// Debug builds check it after every tick, since a set bug the dense
-    /// and event-driven loops share would escape their comparison.
+    /// bit. Debug builds check it after every tick, since a set bug the
+    /// dense and event-driven loops share would escape their comparison.
     fn activity_violation(&self) -> Option<String> {
         if let Some(t) = self.net.idle_router_with_packets() {
             return Some(format!("router {t} holds packets outside its activity set"));
@@ -298,12 +317,7 @@ impl MemorySystem {
                 return Some(format!("MP-Lock manager {t} holds work outside its visit set"));
             }
         }
-        let i = (0..self.l1s.len()).find(|&i| self.parked.contains(i) != self.l1s[i].is_parked())?;
-        Some(format!(
-            "core {i}: parked set {}, L1 {}",
-            self.parked.contains(i),
-            self.l1s[i].is_parked()
-        ))
+        None
     }
 
     /// True when no packet, transaction or pending L1 request exists (used
@@ -705,10 +719,9 @@ mod tests {
         assert!(sys.is_quiescent());
     }
 
-    /// Save `sys` at the boundary after its tick of `through`.
-    fn image(sys: &MemorySystem, through: Cycle) -> Vec<u8> {
+    fn image(sys: &MemorySystem) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        sys.save(&mut w, through);
+        sys.save(&mut w);
         w.into_bytes()
     }
 
@@ -735,14 +748,14 @@ mod tests {
         }
         assert_eq!(sys.dirs_active.next(0), Some(home), "only the home directory holds work");
         let mut resumed = MemorySystem::new(&cfg);
-        resumed.load(&mut SnapReader::new(&image(&sys, now - 1))).unwrap();
+        resumed.load(&mut SnapReader::new(&image(&sys))).unwrap();
         let run = |sys: &mut MemorySystem| {
             let mut result = None;
             for t in now..now + 2_000 {
                 sys.tick(t);
                 result = result.or(sys.take_result(core));
             }
-            (result.expect("the miss completes"), image(sys, now + 1_999))
+            (result.expect("the miss completes"), image(sys))
         };
         let straight = run(&mut sys);
         assert_eq!(run(&mut resumed), straight, "resumed mid-miss, the state differs");

@@ -1,4 +1,4 @@
-//! Activity sets: one bit per component (router, tile, core) of a machine.
+//! Activity sets: one bit per component (router or tile) of a machine.
 //!
 //! A per-cycle loop that visits only the set bits, in ascending index,
 //! visits components in the order a loop over all of them would, so it
@@ -37,11 +37,6 @@ impl ActivitySet {
         for (w, word) in self.words.iter_mut().enumerate() {
             *word = u64::MAX >> (64 * (w + 1)).saturating_sub(len);
         }
-    }
-
-    /// Clear every index.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
     }
 
     #[inline]
@@ -115,8 +110,6 @@ mod tests {
                 assert!(set.contains(i));
                 assert_eq!(set.next(i), Some(i));
             }
-            set.clear();
-            assert_eq!(set.next(0), None);
             set.fill();
             assert_eq!(walk(&set).len(), len);
         }

@@ -2,27 +2,6 @@
 
 use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
-/// A monotone event counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
 /// A dense histogram over small integer bins (e.g. the paper's grAC axis,
 /// 1..=32 concurrent requesters).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -184,14 +163,6 @@ impl Snap for CounterSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::default();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-    }
 
     #[test]
     fn histogram_records_and_normalizes() {

@@ -518,7 +518,7 @@ impl Simulation {
     /// Cores whose spin is parked right now (host-side, like
     /// [`Simulation::parked_polls`]).
     pub fn parked_cores(&self) -> usize {
-        self.cores.iter().filter(|c| c.is_parked()).count()
+        self.mem.parked_cores()
     }
 
     /// Advance every non-core device (memory system, GLock networks,
@@ -526,6 +526,11 @@ impl Simulation {
     /// loop and the post-run drain.
     fn tick_devices(&mut self) {
         self.mem.tick(self.now);
+        // A message that reached a parked L1 settled the L1's side; the
+        // core's settles through the same cycle.
+        for (core, park) in self.mem.drain_woken() {
+            self.cores[core.index()].settle(&park, self.now);
+        }
         for net in &mut self.glock_nets {
             net.tick(self.now);
         }
@@ -597,7 +602,6 @@ impl Simulation {
         {
             let backends = Backends { locks: &self.locks, barrier: self.barrier.as_ref() };
             for (i, core) in self.cores.iter_mut().enumerate() {
-                // A parked spin is settled when its core is next visited.
                 if self.mem.is_parked(CoreId(i as u16)) {
                     all_done = false;
                     continue;
@@ -831,10 +835,9 @@ impl Simulation {
     /// subsystem in a fixed walk order. Fails with
     /// [`SnapError::Unsupported`] if any component (an exotic workload, a
     /// backend without snapshot support) has not opted into checkpointing.
-    pub fn checkpoint(&self) -> Result<Snapshot, SnapError> {
-        // Parked spins are saved settled through the last executed cycle
-        // (nothing parks before cycle 1).
-        let through = self.now.saturating_sub(1);
+    /// Parked spins are settled first, so the image holds live state.
+    pub fn checkpoint(&mut self) -> Result<Snapshot, SnapError> {
+        self.settle_parks();
         let mut w = SnapWriter::new();
         w.u32(SNAP_MAGIC);
         w.u32(SNAP_VERSION);
@@ -844,10 +847,10 @@ impl Simulation {
         self.progress_mark.save(&mut w);
         w.usize(self.cores.len());
         for core in &self.cores {
-            core.save_state(&mut w, through)?;
+            core.save_state(&mut w)?;
         }
         self.tracker.save(&mut w);
-        self.mem.save(&mut w, through);
+        self.mem.save(&mut w);
         fixed::save(&self.glock_nets, &mut w);
         present::save(&self.gbarrier, &mut w);
         present::save(&self.pool, &mut w);
@@ -920,18 +923,28 @@ impl Simulation {
         Ok(())
     }
 
+    /// Settle every parked spin, on both sides, through the last executed
+    /// cycle (nothing parks before cycle 1): the machine is left as the
+    /// dense loop holds it, and a core still spinning parks again at its
+    /// next hit.
+    fn settle_parks(&mut self) {
+        let through = self.now.saturating_sub(1);
+        for core in &mut self.cores {
+            if let Some(park) = self.mem.unpark(core.id(), through) {
+                core.settle(&park, through);
+            }
+        }
+    }
+
     /// Post-run epilogue: drain in-flight traffic, verify quiescence, and
     /// assemble the report. Call after [`Simulation::step`] returned
     /// `Ok(true)`.
     pub fn finish(mut self) -> Result<(SimReport, MemorySystem), SimError> {
         let finish_at = self.now;
         // Only a core still spinning can be parked, so this settles nothing
-        // after a completed run; a caller that stops early, after `step`
-        // executed cycle `now - 1`, gets the totals of the dense loop.
-        let through = self.now.saturating_sub(1);
-        for core in &mut self.cores {
-            core.unpark(&mut self.mem, through);
-        }
+        // after a completed run; a caller that stops early gets the totals
+        // of the dense loop.
+        self.settle_parks();
         // Drain in-flight writebacks so the traffic/energy totals settle.
         // The G-line networks only tick while they report pending work, so
         // the per-iteration cost is O(active components) — a long memory

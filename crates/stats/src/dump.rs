@@ -11,6 +11,7 @@ use crate::hist::{Log2Histogram, N_BUCKETS};
 use crate::json::{self, Json};
 use crate::series::TimeSeries;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// Bumped whenever the dump layout changes incompatibly. `glocks-stats
 /// diff` refuses to compare dumps with different schema versions.
@@ -183,80 +184,56 @@ pub struct StatsDump {
 }
 
 impl StatsDump {
-    /// Deterministic compact JSON encoding.
+    /// Deterministic compact JSON encoding, written straight into the
+    /// output: objects in sorted key order, as [`Json::encode`] writes the
+    /// same dump parsed back.
     pub fn to_json(&self) -> String {
-        let mut root = BTreeMap::new();
-        root.insert(
-            "schema_version".to_string(),
-            Json::UInt(self.schema_version as u64),
-        );
-        root.insert(
-            "meta".to_string(),
-            Json::Obj(
-                self.meta
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "counters".to_string(),
-            Json::Obj(
-                self.counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::UInt(*v)))
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "hists".to_string(),
-            Json::Obj(
-                self.hists
-                    .iter()
-                    .map(|(k, h)| {
-                        let mut m = BTreeMap::new();
-                        m.insert("count".to_string(), Json::UInt(h.count));
-                        m.insert("sum".to_string(), Json::UInt(h.sum));
-                        m.insert("min".to_string(), Json::UInt(h.min));
-                        m.insert("max".to_string(), Json::UInt(h.max));
-                        m.insert(
-                            "buckets".to_string(),
-                            Json::Arr(
-                                h.buckets
-                                    .iter()
-                                    .map(|&(i, c)| {
-                                        Json::Arr(vec![
-                                            Json::UInt(i as u64),
-                                            Json::UInt(c),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        );
-                        (k.clone(), Json::Obj(m))
-                    })
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "series".to_string(),
-            Json::Obj(
-                self.series
-                    .iter()
-                    .map(|(k, s)| {
-                        let mut m = BTreeMap::new();
-                        m.insert("period".to_string(), Json::UInt(s.period));
-                        m.insert(
-                            "points".to_string(),
-                            Json::Arr(s.points().map(Json::Num).collect()),
-                        );
-                        (k.clone(), Json::Obj(m))
-                    })
-                    .collect(),
-            ),
-        );
-        let mut out = Json::Obj(root).encode();
-        out.push('\n');
+        fn obj<'a, V: 'a>(
+            out: &mut String,
+            members: impl IntoIterator<Item = (&'a String, V)>,
+            value: impl Fn(&mut String, V),
+        ) {
+            out.push('{');
+            for (i, (k, v)) in members.into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::write_str(out, k);
+                out.push(':');
+                value(out, v);
+            }
+            out.push('}');
+        }
+        let mut out = String::from("{\"counters\":");
+        obj(&mut out, &self.counters, |out, v| {
+            let _ = write!(out, "{v}");
+        });
+        out.push_str(",\"hists\":");
+        obj(&mut out, &self.hists, |out, h| {
+            out.push_str("{\"buckets\":[");
+            for (j, (i, c)) in h.buckets.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "[{i},{c}]");
+            }
+            let HistDump { count, max, min, sum, .. } = h;
+            let _ = write!(out, "],\"count\":{count},\"max\":{max},\"min\":{min},\"sum\":{sum}}}");
+        });
+        out.push_str(",\"meta\":");
+        obj(&mut out, &self.meta, |out, v| json::write_str(out, v));
+        let _ = write!(out, ",\"schema_version\":{},\"series\":", self.schema_version);
+        obj(&mut out, &self.series, |out, s| {
+            let _ = write!(out, "{{\"period\":{},\"points\":[", s.period);
+            for (i, p) in s.points().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::write_f64(out, p);
+            }
+            out.push_str("]}");
+        });
+        out.push_str("}\n");
         out
     }
 
@@ -484,6 +461,22 @@ mod tests {
         assert_eq!(s, SeriesDump::new(8, &points));
         assert_ne!(s, SeriesDump::new(8, &points[1..]));
         assert!(SeriesDump::new(8, &[]).is_empty());
+    }
+
+    /// The streamed encoding is the tree encoder's, byte for byte: escaped
+    /// keys and values, `NaN` (written `null`), `-0.0` and integral floats.
+    #[test]
+    fn streamed_json_matches_the_tree_encoder() {
+        let mut d = sample_dump();
+        d.meta.insert("quote\"back\\slash".into(), "tab\tline\nctl\u{1}é".into());
+        d.counters.insert("a\"b".into(), u64::MAX);
+        d.hists.insert("empty".into(), HistDump::from_hist(&Log2Histogram::new()));
+        let points = [0.0, -0.0, 3.0, 2.5, f64::NAN, 1e300, -7.0, 1e-7];
+        d.series.insert("odd\\key".into(), SeriesDump::new(8, &points));
+        d.series.insert("none".into(), SeriesDump::new(1, &[]));
+        let out = d.to_json();
+        assert_eq!(out, format!("{}\n", json::parse(&out).expect("parses").encode()));
+        assert!(out.contains("[0.0,-0.0,3.0,2.5,null,"), "{out}");
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl Machine {
 
     /// Resume `snap` and checkpoint the rebuilt machine straight away.
     fn round_trip(&self, snap: &Snapshot) -> Snapshot {
-        let sim = self
+        let mut sim = self
             .resume(snap.as_bytes())
             .expect("a snapshot loads into an identically specified machine");
         let again = sim.checkpoint().expect("a resumed machine snapshots");

@@ -8,8 +8,10 @@
 //! with the 3-cycle poll, so the images catch an in-flight poll in every
 //! phase: just submitted, awaiting its tag access, and answered but not
 //! yet taken. Both runs must write the same bytes at every checkpoint and
-//! the same final dump, and an image taken while cores are parked must
-//! resume, event-driven, to that dump.
+//! the same final dump. A checkpoint settles every parked spin in place,
+//! so none is left parked after it, and the event-driven run must end in
+//! the dump of an event-driven run that never checkpoints. An image taken
+//! while cores were parked must resume, event-driven, to that dump.
 
 use glocks_repro::prelude::*;
 use glocks_repro::sim::Snapshot;
@@ -27,7 +29,7 @@ struct Machine {
 
 /// What one run leaves behind.
 struct Run {
-    /// `(cycle, image, cores parked when it was taken)`.
+    /// `(cycle, image, cores parked just before it was taken)`.
     images: Vec<(u64, Snapshot, usize)>,
     dump: String,
     parked_polls: u64,
@@ -59,13 +61,16 @@ impl Machine {
         }
     }
 
-    fn run(&self, idle_skip: bool) -> Run {
+    /// Run to completion, checkpointing every `every` cycles (0: never).
+    fn run(&self, idle_skip: bool, every: u64) -> Run {
         let mut sim = self.start(idle_skip, None);
         let mut images = Vec::new();
-        while !sim.step_fast(EVERY).expect("the run stays healthy") {
-            if sim.now().is_multiple_of(EVERY) {
+        while !sim.step_fast(every).expect("the run stays healthy") {
+            if every > 0 && sim.now().is_multiple_of(every) {
+                let cores = sim.parked_cores();
                 let snap = sim.checkpoint().expect("every component snapshots");
-                images.push((sim.now(), snap, sim.parked_cores()));
+                assert_eq!(sim.parked_cores(), 0, "@{}: a checkpoint left spins parked", sim.now());
+                images.push((sim.now(), snap, cores));
             }
         }
         let parked_polls = sim.parked_polls();
@@ -82,8 +87,8 @@ fn finish(sim: Simulation) -> String {
 
 fn parking_matches_the_dense_loop(m: Machine) {
     let what = format!("{}/{}", m.kind.name(), m.algo.name());
-    let dense = m.run(false);
-    let parked = m.run(true);
+    let dense = m.run(false, EVERY);
+    let parked = m.run(true, EVERY);
     assert_eq!(dense.parked_polls, 0, "{what}: the dense loop parked");
     assert!(parked.parked_polls > 0, "{what}: no poll was ever parked");
     assert_eq!(parked.images.len(), dense.images.len(), "{what}: checkpoint count");
@@ -92,6 +97,9 @@ fn parking_matches_the_dense_loop(m: Machine) {
         assert!(p == d, "{what} @{cycle}: the parked image differs from the dense one");
     }
     assert!(parked.dump == dense.dump, "{what}: final stats dumps differ");
+    let straight = m.run(true, 0);
+    assert!(straight.parked_polls > 0, "{what}: no poll was parked without checkpoints");
+    assert!(parked.dump == straight.dump, "{what}: checkpoints changed the event-driven dump");
 
     let (cycle, image, cores) = parked
         .images
