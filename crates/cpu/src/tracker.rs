@@ -7,7 +7,6 @@
 //! 32) on a cycle-by-cycle basis until the lock is granted". `sample` does
 //! exactly that each cycle.
 
-use glocks_sim_base::stats::Histogram;
 use glocks_sim_base::{Cycle, LockId, ThreadId};
 use glocks_stats as gstats;
 
@@ -18,8 +17,8 @@ struct LockState {
     /// Threads currently between acquire-start and grant.
     requesters: Vec<ThreadId>,
     /// grAC histogram: bin g = cycles with exactly g concurrent requesters
-    /// (bin 0 unused).
-    grac: Histogram,
+    /// (bin 0 unused; the last bin also takes any larger count).
+    grac: Vec<u64>,
     /// Grant order (bounded) for fairness analysis.
     grants: Vec<ThreadId>,
     acquires: u64,
@@ -40,8 +39,8 @@ struct LockState {
     handoff_hist: gstats::HistId,
 }
 glocks_sim_base::snap!(LockState {
-    holder as wide, requesters, grac, grants, acquires, wait_cycles, since, held_since,
-    last_release;
+    holder as wide, requesters, grac as fixed, grants, acquires, wait_cycles, since,
+    held_since, last_release;
     skip wait_hist, hold_hist, handoff_hist
 });
 
@@ -50,9 +49,8 @@ const GRANT_LOG_CAP: usize = 200_000;
 /// Tracks all workload locks during a simulation.
 pub struct LockTracker {
     locks: Vec<LockState>,
-    max_grac: usize,
 }
-glocks_sim_base::snap!(LockTracker mark "lock-tracker" { locks as fixed; skip max_grac });
+glocks_sim_base::snap!(LockTracker mark "lock-tracker" { locks as fixed });
 
 impl LockTracker {
     /// `n_locks` workload locks on a CMP with `n_cores` cores (the grAC
@@ -63,7 +61,7 @@ impl LockTracker {
                 .map(|i| LockState {
                     holder: None,
                     requesters: Vec::new(),
-                    grac: Histogram::new(n_cores + 1),
+                    grac: vec![0; n_cores + 1],
                     grants: Vec::new(),
                     acquires: 0,
                     wait_cycles: 0,
@@ -75,7 +73,6 @@ impl LockTracker {
                     handoff_hist: gstats::hist(&format!("lock.{i}.handoff_cycles")),
                 })
                 .collect(),
-            max_grac: n_cores,
         }
     }
 
@@ -143,7 +140,8 @@ impl LockTracker {
         for l in &mut self.locks {
             let n = l.requesters.len();
             if n > 0 {
-                l.grac.record(n.min(self.max_grac), 1);
+                let g = n.min(l.grac.len() - 1);
+                l.grac[g] += 1;
             }
         }
     }
@@ -157,13 +155,14 @@ impl LockTracker {
         for l in &mut self.locks {
             let n = l.requesters.len();
             if n > 0 {
-                l.grac.record(n.min(self.max_grac), k);
+                let g = n.min(l.grac.len() - 1);
+                l.grac[g] += k;
             }
         }
     }
 
     /// The grAC histogram of one lock (bin g = cycles with g requesters).
-    pub fn grac_histogram(&self, lock: LockId) -> &Histogram {
+    pub fn grac_histogram(&self, lock: LockId) -> &[u64] {
         &self.locks[lock.index()].grac
     }
 
@@ -253,18 +252,13 @@ impl LockTracker {
     /// (Eq. 2). Returns `lcr[lock][grac]`, `grac ∈ 0..=n_cores` with bin 0
     /// always zero.
     pub fn lcr(&self) -> Vec<Vec<f64>> {
-        let total: u64 = self.locks.iter().map(|l| l.grac.total()).sum();
+        let total: u64 = self.locks.iter().flat_map(|l| &l.grac).sum();
         self.locks
             .iter()
             .map(|l| {
-                (0..l.grac.n_bins())
-                    .map(|g| {
-                        if total == 0 {
-                            0.0
-                        } else {
-                            l.grac.bin(g) as f64 / total as f64
-                        }
-                    })
+                l.grac
+                    .iter()
+                    .map(|&b| if total == 0 { 0.0 } else { b as f64 / total as f64 })
                     .collect()
             })
             .collect()
@@ -285,8 +279,8 @@ mod tests {
         t.on_acquired(l, ThreadId(0), 5);
         t.sample(); // 1 requester (thread 1)
         assert_eq!(t.holder(l), Some(ThreadId(0)));
-        assert_eq!(t.grac_histogram(l).bin(2), 1);
-        assert_eq!(t.grac_histogram(l).bin(1), 1);
+        assert_eq!(t.grac_histogram(l)[2], 1);
+        assert_eq!(t.grac_histogram(l)[1], 1);
         t.on_release_start(l, ThreadId(0), 10);
         t.on_acquired(l, ThreadId(1), 11);
         t.on_release_start(l, ThreadId(1), 12);

@@ -13,8 +13,6 @@
 //! employed in \[21\]": a small per-signal energy plus a tiny per-controller
 //! static component.
 
-use glocks_sim_base::stats::CounterSet;
-
 /// Per-event energies in picojoules and per-cycle leakage terms.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EnergyModel {
@@ -72,9 +70,14 @@ pub struct EnergyInputs {
     pub instructions: u64,
     /// Sum over cores of live cycles (start → thread finish).
     pub live_core_cycles: u64,
-    /// Aggregated memory-hierarchy counters (`l1_access`, `l2_access`,
-    /// `dir_txn`, `mem_access`, ...).
-    pub mem_counters: CounterSet,
+    /// L1 tag accesses, summed over tiles.
+    pub l1_accesses: u64,
+    /// L2 data-array accesses, summed over tiles.
+    pub l2_accesses: u64,
+    /// Directory transactions, summed over tiles.
+    pub dir_txns: u64,
+    /// Off-chip memory accesses.
+    pub mem_accesses: u64,
     /// Total packet-hops through routers.
     pub noc_hops: u64,
     /// Total bytes × hops on links.
@@ -122,14 +125,13 @@ impl EnergyReport {
 impl EnergyModel {
     /// Account a run's activity into per-component energy.
     pub fn account(&self, inp: &EnergyInputs) -> EnergyReport {
-        let m = &inp.mem_counters;
         EnergyReport {
             core_pj: inp.instructions as f64 * self.instr_pj
                 + inp.live_core_cycles as f64 * self.core_cycle_pj,
-            l1_pj: m.get("l1_access") as f64 * self.l1_access_pj,
-            l2_dir_pj: m.get("l2_access") as f64 * self.l2_access_pj
-                + m.get("dir_txn") as f64 * self.dir_txn_pj,
-            mem_pj: m.get("mem_access") as f64 * self.mem_access_pj,
+            l1_pj: inp.l1_accesses as f64 * self.l1_access_pj,
+            l2_dir_pj: inp.l2_accesses as f64 * self.l2_access_pj
+                + inp.dir_txns as f64 * self.dir_txn_pj,
+            mem_pj: inp.mem_accesses as f64 * self.mem_access_pj,
             noc_pj: inp.noc_hops as f64 * self.router_hop_pj
                 + inp.noc_byte_hops as f64 * self.link_byte_pj,
             glock_pj: inp.gline_signals as f64 * self.gline_signal_pj
@@ -144,17 +146,15 @@ mod tests {
     use super::*;
 
     fn inputs() -> EnergyInputs {
-        let mut mem_counters = CounterSet::default();
-        mem_counters.add("l1_access", 100);
-        mem_counters.add("l2_access", 10);
-        mem_counters.add("dir_txn", 10);
-        mem_counters.add("mem_access", 2);
         EnergyInputs {
             cycles: 1000,
             n_tiles: 4,
             instructions: 500,
             live_core_cycles: 4000,
-            mem_counters,
+            l1_accesses: 100,
+            l2_accesses: 10,
+            dir_txns: 10,
+            mem_accesses: 2,
             noc_hops: 50,
             noc_byte_hops: 800,
             gline_signals: 12,

@@ -2,14 +2,14 @@
 //! bytes through all switches), GLocks vs MCS, read from Figure 8's runs.
 
 use crate::fig8::{class_mean, Pair};
-use glocks_sim::TrafficSnapshot;
+use glocks_noc::{TrafficClass, TrafficStats};
 use glocks_sim_base::table::{norm, pct, TextTable};
 use glocks_workloads::BenchKind;
 
 pub struct Fig9Row {
     pub bench: BenchKind,
-    pub mcs: TrafficSnapshot,
-    pub gl: TrafficSnapshot,
+    pub mcs: TrafficStats,
+    pub gl: TrafficStats,
     /// GL total bytes / MCS total bytes.
     pub normalized: f64,
 }
@@ -40,13 +40,13 @@ pub fn table(pairs: &[Pair]) -> (TextTable, Vec<Fig9Row>) {
         "GL/MCS",
         "reduction",
     ]);
-    let fmt = |s: &TrafficSnapshot| {
+    let fmt = |s: &TrafficStats| {
         format!(
             "{} ({}/{}/{})",
             s.total_bytes(),
-            s.coherence_bytes,
-            s.request_bytes,
-            s.reply_bytes
+            s.bytes(TrafficClass::Coherence),
+            s.bytes(TrafficClass::Request),
+            s.bytes(TrafficClass::Reply)
         )
     };
     for r in &rows {

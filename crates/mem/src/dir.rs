@@ -18,7 +18,6 @@ use crate::msg::{CoherenceMsg, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet};
 use glocks_sim_base::fault::{FaultDecision, FaultInjector};
-use glocks_sim_base::stats::CounterSet;
 use glocks_sim_base::trace::TraceMask;
 use glocks_sim_base::{trace_event, CmpConfig, CoreId, Cycle, LineAddr, TileId};
 use std::collections::{HashMap, VecDeque};
@@ -129,13 +128,66 @@ glocks_sim_base::snap!(enum DirEvent {
     2 => Finish { line, msg, dst, final_state, put_ack_to },
 });
 
+/// Event counts of one home tile's directory and L2 slice: the energy
+/// model's input, and `mem.dir.t{N}.*` in a stats dump.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DirCounts {
+    /// Owner `WbData` answers to a forwarded probe (cache-to-cache).
+    pub c2c: u64,
+    /// Evictions that crossed a forwarded probe and answered it.
+    pub crossed_put: u64,
+    /// Invalidations sent.
+    pub inv_sent: u64,
+    /// Evictions from a core that no longer owned the line.
+    pub stale_put: u64,
+    /// `WbData` dropped because a crossed eviction already answered.
+    pub stale_wbdata: u64,
+    /// Transactions started.
+    pub txn: u64,
+    /// Upgrades from a core that had lost its copy, served as `GetM`.
+    pub upgrade_degraded: u64,
+    /// L2 data-array reads and writes.
+    pub l2_access: u64,
+    pub l2_hit: u64,
+    pub l2_miss: u64,
+    /// Off-chip memory reads (one per L2 miss).
+    pub mem_access: u64,
+}
+glocks_sim_base::snap!(DirCounts {
+    c2c, crossed_put, inv_sent, stale_put, stale_wbdata, txn, upgrade_degraded, l2_access,
+    l2_hit, l2_miss, mem_access
+});
+
+impl DirCounts {
+    /// Each count with its stats key, in key order.
+    pub fn named(&self) -> [(&'static str, u64); 11] {
+        let DirCounts {
+            c2c, crossed_put, inv_sent, stale_put, stale_wbdata, txn, upgrade_degraded,
+            l2_access, l2_hit, l2_miss, mem_access,
+        } = *self;
+        [
+            ("dir_c2c", c2c),
+            ("dir_crossed_put", crossed_put),
+            ("dir_inv_sent", inv_sent),
+            ("dir_stale_put", stale_put),
+            ("dir_stale_wbdata", stale_wbdata),
+            ("dir_txn", txn),
+            ("dir_upgrade_degraded", upgrade_degraded),
+            ("l2_access", l2_access),
+            ("l2_hit", l2_hit),
+            ("l2_miss", l2_miss),
+            ("mem_access", mem_access),
+        ]
+    }
+}
+
 /// Directory + L2-slice controller of one home tile.
 pub struct Directory {
     tile: TileId,
     entries: HashMap<u64, DirEntry>,
     l2_array: CacheArray<()>,
     events: EventQueue<DirEvent>,
-    counters: CounterSet,
+    counts: DirCounts,
     tag_latency: u64,
     data_latency: u64,
     mem_latency: u64,
@@ -145,7 +197,7 @@ pub struct Directory {
 }
 // The entry map is unordered; it is saved sorted by line address.
 glocks_sim_base::snap!(Directory mark "directory" {
-    entries, l2_array, events, counters, faults as present;
+    entries, l2_array, events, counts, faults as present;
     skip tile, tag_latency, data_latency, mem_latency, ctrl_bytes, data_bytes
 });
 
@@ -156,7 +208,7 @@ impl Directory {
             entries: HashMap::new(),
             l2_array: CacheArray::new(cfg.l2.sets(cfg.line_bytes), cfg.l2.ways as usize),
             events: EventQueue::new(),
-            counters: CounterSet::default(),
+            counts: DirCounts::default(),
             tag_latency: cfg.l2.latency,
             data_latency: cfg.l2.extra_data_latency,
             mem_latency: cfg.mem_latency,
@@ -178,8 +230,8 @@ impl Directory {
         self.faults.as_ref().map(|f| f.stats())
     }
 
-    pub fn counters(&self) -> &CounterSet {
-        &self.counters
+    pub fn counts(&self) -> DirCounts {
+        self.counts
     }
 
     /// Lines with a transaction in flight (diagnostics input).
@@ -238,13 +290,13 @@ impl Directory {
     /// the tag access (data array, plus memory on a miss) and installs the
     /// line on a miss.
     fn data_fetch_latency(&mut self, line: LineAddr) -> u64 {
-        self.counters.add("l2_access", 1);
+        self.counts.l2_access += 1;
         if self.l2_array.lookup(line).is_some() {
-            self.counters.add("l2_hit", 1);
+            self.counts.l2_hit += 1;
             self.data_latency
         } else {
-            self.counters.add("l2_miss", 1);
-            self.counters.add("mem_access", 1);
+            self.counts.l2_miss += 1;
+            self.counts.mem_access += 1;
             // Silent eviction: the array is timing-only.
             self.l2_array.insert(line, ());
             self.data_latency + self.mem_latency
@@ -262,7 +314,7 @@ impl Directory {
 
     /// Record a data write into the L2 array (WbData/PutM install).
     fn data_install(&mut self, line: LineAddr) {
-        self.counters.add("l2_access", 1);
+        self.counts.l2_access += 1;
         if self.l2_array.lookup(line).is_none() {
             self.l2_array.insert(line, ());
         }
@@ -282,12 +334,12 @@ impl Directory {
                 let e = self.entry(line);
                 match e.busy {
                     Some(Busy { phase: Phase::AwaitOwner { owner }, .. }) if owner == from => {
-                        self.counters.add("dir_c2c", 1);
+                        self.counts.c2c += 1;
                         self.owner_responded(line, from, true, false, now, net);
                     }
                     // Stale WbData from a previous owner that raced its own
                     // eviction: the data was already absorbed via PutM.
-                    _ => self.counters.add("dir_stale_wbdata", 1),
+                    _ => self.counts.stale_wbdata += 1,
                 }
             }
             CoherenceMsg::InvAck { from: _, .. } => {
@@ -309,7 +361,7 @@ impl Directory {
                 match e.busy {
                     Some(Busy { phase: Phase::AwaitOwner { owner }, .. }) if owner == from => {
                         // Crossed eviction: this *is* the owner's response.
-                        self.counters.add("dir_crossed_put", 1);
+                        self.counts.crossed_put += 1;
                         self.owner_responded(line, from, with_data, true, now, net);
                     }
                     _ => {
@@ -348,7 +400,7 @@ impl Directory {
             "dir{}: start {kind:?} on {line:?} for core {requester}",
             self.tile
         );
-        self.counters.add("dir_txn", 1);
+        self.counts.txn += 1;
         self.events.schedule(now + tag_latency, DirEvent::Act(line));
     }
 
@@ -401,7 +453,7 @@ impl Directory {
         }
         let kind = busy.kind;
         if degraded {
-            self.counters.add("dir_upgrade_degraded", 1);
+            self.counts.upgrade_degraded += 1;
         }
         match (state, kind) {
             // ---- reads ----
@@ -473,7 +525,7 @@ impl Directory {
                 } else {
                     let e = self.entry(line);
                     e.busy.as_mut().expect("busy").phase = Phase::AwaitAcks { acks_left: n };
-                    self.counters.add("dir_inv_sent", n as u64);
+                    self.counts.inv_sent += u64::from(n);
                     for c in 0..128u32 {
                         if invs & (1u128 << c) != 0 {
                             self.send(CoherenceMsg::Inv { line }, CoreId(c as u16), now, net);
@@ -494,7 +546,7 @@ impl Directory {
                 if is_owner && kind == ReqKind::PutM {
                     self.data_install(line);
                 } else if !is_owner {
-                    self.counters.add("dir_stale_put", 1);
+                    self.counts.stale_put += 1;
                 }
                 self.finish(
                     line,

@@ -11,7 +11,6 @@ use crate::events::EventQueue;
 use crate::msg::{CoherenceMsg, MemOp, MemResult, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet};
-use glocks_sim_base::stats::CounterSet;
 use glocks_sim_base::trace::TraceMask;
 use glocks_sim_base::{trace_event, Addr, CmpConfig, CoreId, Cycle, LineAddr, TileId};
 
@@ -65,6 +64,56 @@ impl Park {
     }
 }
 
+/// Event counts of one L1: the energy model's input, and `mem.l1.t{N}.*`
+/// in a stats dump.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct L1Counts {
+    /// Tag accesses: every submitted operation, and each grant that
+    /// changes a resident line's state in place.
+    pub access: u64,
+    /// Shared victims dropped silently.
+    pub evict_shared: u64,
+    /// Lines installed by a data grant.
+    pub fill: u64,
+    /// `FwdGetS` and `FwdGetM` probes received.
+    pub fwd_recv: u64,
+    pub hit: u64,
+    /// Invalidations received.
+    pub inv_recv: u64,
+    pub miss: u64,
+    /// Writes (stores and atomics) to a Shared line, each sending an
+    /// `UpgradeM`.
+    pub upgrade: u64,
+    /// Exclusive victims, written back with `PutE`.
+    pub wb_clean: u64,
+    /// Modified victims, written back with `PutM`.
+    pub wb_dirty: u64,
+}
+glocks_sim_base::snap!(L1Counts {
+    access, evict_shared, fill, fwd_recv, hit, inv_recv, miss, upgrade, wb_clean, wb_dirty
+});
+
+impl L1Counts {
+    /// Each count with its stats key, in key order.
+    pub fn named(&self) -> [(&'static str, u64); 10] {
+        let L1Counts {
+            access, evict_shared, fill, fwd_recv, hit, inv_recv, miss, upgrade, wb_clean, wb_dirty,
+        } = *self;
+        [
+            ("l1_access", access),
+            ("l1_evict_shared", evict_shared),
+            ("l1_fill", fill),
+            ("l1_fwd_recv", fwd_recv),
+            ("l1_hit", hit),
+            ("l1_inv_recv", inv_recv),
+            ("l1_miss", miss),
+            ("l1_upgrade", upgrade),
+            ("l1_wb_clean", wb_clean),
+            ("l1_wb_dirty", wb_dirty),
+        ]
+    }
+}
+
 /// One L1 data cache + controller.
 pub struct L1Cache {
     core: CoreId,
@@ -75,7 +124,7 @@ pub struct L1Cache {
     /// Tag/data accesses in flight; each decides hit or miss when due.
     events: EventQueue<MemOp>,
     done: Option<MemResult>,
-    counters: CounterSet,
+    counts: L1Counts,
     /// Submit cycle of the in-flight op, for the miss-latency histogram.
     submitted_at: Option<Cycle>,
     /// `mem.l1.t{N}.miss_latency` (free `NONE` id when stats are off).
@@ -87,7 +136,7 @@ pub struct L1Cache {
     data_bytes: u32,
 }
 glocks_sim_base::snap!(L1Cache mark "l1" {
-    array, pending, wb, events, done, counters, submitted_at;
+    array, pending, wb, events, done, counts, submitted_at;
     skip core, miss_hist, l1_latency, line_bytes, num_tiles, ctrl_bytes, data_bytes
 });
 
@@ -100,7 +149,7 @@ impl L1Cache {
             wb: Vec::new(),
             events: EventQueue::new(),
             done: None,
-            counters: CounterSet::default(),
+            counts: L1Counts::default(),
             submitted_at: None,
             miss_hist: glocks_stats::hist(&format!("mem.l1.t{}.miss_latency", core.0)),
             l1_latency: cfg.l1.total_latency(),
@@ -122,15 +171,15 @@ impl L1Cache {
         self.pending.is_some() || self.done.is_some() || !self.events.is_empty()
     }
 
-    pub fn counters(&self) -> &CounterSet {
-        &self.counters
+    pub fn counts(&self) -> L1Counts {
+        self.counts
     }
 
     /// Begin a memory operation. Panics if one is already outstanding
     /// (cores are in-order and blocking).
     pub fn submit(&mut self, op: MemOp, now: Cycle) {
         assert!(!self.busy(), "core {} submitted while L1 busy", self.core);
-        self.counters.add("l1_access", 1);
+        self.counts.access += 1;
         self.submitted_at = Some(now);
         self.events.schedule(now + self.l1_latency, op);
     }
@@ -168,7 +217,7 @@ impl L1Cache {
         let answered = due <= l1_through;
         let op = MemOp::Load(p.addr);
         if polls > 0 {
-            self.counters.add("l1_access", polls);
+            self.counts.access += polls;
             self.events.pop_due(Cycle::MAX);
             self.events.skip(polls - 1);
             self.events.schedule(due, op);
@@ -181,7 +230,7 @@ impl L1Cache {
         }
         let hits = polls + u64::from(answered);
         if hits > 0 {
-            self.counters.add("l1_hit", hits);
+            self.counts.hit += hits;
             self.array.lookup_n(p.addr.line(self.line_bytes), hits);
         }
     }
@@ -268,11 +317,11 @@ impl L1Cache {
         let line = op.addr().line(self.line_bytes);
         match self.array.lookup(line).copied() {
             Some(L1State::Modified) => {
-                self.counters.add("l1_hit", 1);
+                self.counts.hit += 1;
                 self.commit(op, now, store, true);
             }
             Some(L1State::Exclusive) => {
-                self.counters.add("l1_hit", 1);
+                self.counts.hit += 1;
                 if op.needs_exclusive() {
                     // Silent E→M upgrade: the hallmark of MESI.
                     *self.array.lookup(line).expect("resident") = L1State::Modified;
@@ -281,7 +330,7 @@ impl L1Cache {
             }
             Some(L1State::Shared) => {
                 if op.needs_exclusive() {
-                    self.counters.add("l1_upgrade", 1);
+                    self.counts.upgrade += 1;
                     self.pending = Some(Pending {
                         op,
                         line,
@@ -290,12 +339,12 @@ impl L1Cache {
                     });
                     self.issue_request(now, net);
                 } else {
-                    self.counters.add("l1_hit", 1);
+                    self.counts.hit += 1;
                     self.commit(op, now, store, true);
                 }
             }
             None => {
-                self.counters.add("l1_miss", 1);
+                self.counts.miss += 1;
                 let stalled = self.wb.contains(&line);
                 self.pending = Some(Pending {
                     op,
@@ -318,24 +367,24 @@ impl L1Cache {
         now: Cycle,
         net: &mut MeshNoc<SysMsg>,
     ) {
-        self.counters.add("l1_fill", 1);
+        self.counts.fill += 1;
         if let Some((vline, vstate)) = self.array.insert(line, state) {
             match vstate {
                 L1State::Modified => {
-                    self.counters.add("l1_wb_dirty", 1);
+                    self.counts.wb_dirty += 1;
                     self.wb.push(vline);
                     let home = self.home(vline);
                     self.send(CoherenceMsg::PutM { line: vline, from: self.core }, home, now, net);
                 }
                 L1State::Exclusive => {
-                    self.counters.add("l1_wb_clean", 1);
+                    self.counts.wb_clean += 1;
                     self.wb.push(vline);
                     let home = self.home(vline);
                     self.send(CoherenceMsg::PutE { line: vline, from: self.core }, home, now, net);
                 }
                 L1State::Shared => {
                     // Silent: the directory tolerates stale sharer bits.
-                    self.counters.add("l1_evict_shared", 1);
+                    self.counts.evict_shared += 1;
                 }
             }
         }
@@ -369,7 +418,7 @@ impl L1Cache {
                 // data anyway), replace the state in place.
                 if self.array.peek(line).is_some() {
                     *self.array.lookup(line).expect("resident") = state;
-                    self.counters.add("l1_access", 1);
+                    self.counts.access += 1;
                 } else {
                     self.install(line, state, now, net);
                 }
@@ -397,14 +446,14 @@ impl L1Cache {
             }
             CoherenceMsg::Inv { .. } => {
                 trace_event!(TraceMask::L1, now, "l1[{}]: Inv {line:?}", self.core);
-                self.counters.add("l1_inv_recv", 1);
+                self.counts.inv_recv += 1;
                 // May be absent (stale sharer bit after a silent S evict).
                 self.array.remove(line);
                 let home = self.home(line);
                 self.send(CoherenceMsg::InvAck { line, from: self.core }, home, now, net);
             }
             CoherenceMsg::FwdGetS { .. } => {
-                self.counters.add("l1_fwd_recv", 1);
+                self.counts.fwd_recv += 1;
                 if let Some(s) = self.array.lookup(line) {
                     *s = L1State::Shared;
                 } else {
@@ -417,7 +466,7 @@ impl L1Cache {
                 self.send(CoherenceMsg::WbData { line, from: self.core }, home, now, net);
             }
             CoherenceMsg::FwdGetM { .. } => {
-                self.counters.add("l1_fwd_recv", 1);
+                self.counts.fwd_recv += 1;
                 if self.array.remove(line).is_none() {
                     debug_assert!(
                         self.wb.contains(&line),

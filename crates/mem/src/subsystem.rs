@@ -3,16 +3,16 @@
 //! This is the interface the simulated cores talk to: submit one memory
 //! operation, tick the world, poll for the completion.
 
-use crate::dir::{DirState, Directory, SharerMask};
-use crate::l1::{L1Cache, L1State, Park};
+use crate::dir::{DirCounts, DirState, Directory, SharerMask};
+use crate::l1::{L1Cache, L1Counts, L1State, Park};
 use crate::mplock::{MpFabric, MpManager, MANAGER_LATENCY, MAX_MP_LOCKS};
 use crate::msg::{MemOp, MemResult, MpLockMsg, SysMsg};
 use crate::store::WordStore;
 use glocks_noc::{MeshNoc, Packet, TrafficStats};
 use glocks_sim_base::fault::{FaultPlan, FaultSite};
 use glocks_sim_base::snap::{fixed, Snap, SnapError, SnapReader, SnapWriter};
-use glocks_sim_base::stats::CounterSet;
 use glocks_sim_base::{ActivitySet, Addr, CmpConfig, CoreId, Cycle, LineAddr, TileId};
+use std::collections::BTreeMap;
 
 /// A point-in-time picture of what the memory system is doing — part of
 /// the runner's diagnostic snapshot when a run wedges.
@@ -367,21 +367,10 @@ impl MemorySystem {
         self.net.fault_stats()
     }
 
-    /// Aggregate soft-fault totals over every directory injector, or
-    /// `None` when no directory carries one.
-    pub fn dir_fault_stats(&self) -> Option<glocks_sim_base::fault::FaultStats> {
-        let mut any = false;
-        let mut total = glocks_sim_base::fault::FaultStats::default();
-        for dir in &self.dirs {
-            if let Some(s) = dir.fault_stats() {
-                any = true;
-                total.decided += s.decided;
-                total.dropped += s.dropped;
-                total.delayed += s.delayed;
-                total.duplicated += s.duplicated;
-            }
-        }
-        any.then_some(total)
+    /// Soft-fault totals over every directory injector (zero when none
+    /// carries one).
+    pub fn dir_fault_stats(&self) -> glocks_sim_base::fault::FaultStats {
+        self.dirs.iter().filter_map(Directory::fault_stats).sum()
     }
 
     /// Schedule a permanent NoC router fault (see
@@ -425,37 +414,39 @@ impl MemorySystem {
         &mut self.store
     }
 
-    /// Aggregated event counters of all L1s and directories (energy input).
-    pub fn counters(&self) -> CounterSet {
-        let mut c = CounterSet::default();
-        for l1 in &self.l1s {
-            c.merge(l1.counters());
-        }
-        for d in &self.dirs {
-            c.merge(d.counters());
-        }
-        c
+    /// Each tile's L1 event counts, in tile order.
+    pub fn l1_counts(&self) -> impl Iterator<Item = L1Counts> + '_ {
+        self.l1s.iter().map(L1Cache::counts)
     }
 
-    /// Publish end-of-run memory-hierarchy totals into the stats registry:
-    /// per-tile L1 and directory event counters plus chip-wide aggregates
-    /// (no-op when stats are off).
+    /// Each tile's directory and L2 event counts, in tile order.
+    pub fn dir_counts(&self) -> impl Iterator<Item = DirCounts> + '_ {
+        self.dirs.iter().map(Directory::counts)
+    }
+
+    /// Publish end-of-run memory-hierarchy totals into the stats registry
+    /// (no-op when stats are off): `mem.l1.t{N}.{key}` and
+    /// `mem.dir.t{N}.{key}` for each nonzero count, and `mem.total.{key}`
+    /// for their sums over tiles.
     pub fn publish_stats(&self) {
         if !glocks_stats::is_enabled() {
             return;
         }
-        for (t, l1) in self.l1s.iter().enumerate() {
-            for (k, v) in l1.counters().iter() {
-                glocks_stats::set(glocks_stats::counter(&format!("mem.l1.t{t}.{k}")), v);
+        let mut totals = BTreeMap::<&str, u64>::new();
+        let mut publish = |unit: &str, tile: usize, named: &[(&'static str, u64)]| {
+            for &(key, n) in named.iter().filter(|&&(_, n)| n > 0) {
+                glocks_stats::set(glocks_stats::counter(&format!("mem.{unit}.t{tile}.{key}")), n);
+                *totals.entry(key).or_default() += n;
             }
+        };
+        for (t, c) in self.l1_counts().enumerate() {
+            publish("l1", t, &c.named());
         }
-        for (t, dir) in self.dirs.iter().enumerate() {
-            for (k, v) in dir.counters().iter() {
-                glocks_stats::set(glocks_stats::counter(&format!("mem.dir.t{t}.{k}")), v);
-            }
+        for (t, c) in self.dir_counts().enumerate() {
+            publish("dir", t, &c.named());
         }
-        for (k, v) in self.counters().iter() {
-            glocks_stats::set(glocks_stats::counter(&format!("mem.total.{k}")), v);
+        for (key, n) in totals {
+            glocks_stats::set(glocks_stats::counter(&format!("mem.total.{key}")), n);
         }
         self.net.publish_stats();
     }
@@ -783,5 +774,50 @@ mod tests {
             assert_eq!(r.value, i + 1);
         }
         sys.check_invariants();
+    }
+
+    /// `publish_stats` names a tile's count only where it is nonzero, and
+    /// `mem.total.{key}` is that count summed over tiles.
+    #[test]
+    fn publish_stats_names_each_nonzero_count_and_its_total() {
+        let mut sys = system();
+        // A store by core 0, then a load by core 5 that core 0 forwards...
+        let a = Addr(0x2000);
+        run_op(&mut sys, CoreId(0), MemOp::Store(a, 77), 0);
+        run_op(&mut sys, CoreId(5), MemOp::Load(a), 10_000);
+        // ...then five dirty lines in one of core 0's L1 sets.
+        let stride = 128 * 64;
+        for i in 0..5u64 {
+            run_op(&mut sys, CoreId(0), MemOp::Store(Addr(i * stride), i + 1), 20_000 + i * 50_000);
+        }
+        glocks_stats::enable(glocks_stats::StatsConfig::default());
+        sys.publish_stats();
+        let dump = glocks_stats::snapshot();
+        glocks_stats::disable();
+
+        let mut want = BTreeMap::new();
+        let mut totals = BTreeMap::<&str, u64>::new();
+        let l1s = sys.l1_counts().enumerate().map(|(t, c)| ("l1", t, c.named().to_vec()));
+        let dirs = sys.dir_counts().enumerate().map(|(t, c)| ("dir", t, c.named().to_vec()));
+        for (unit, tile, named) in l1s.chain(dirs) {
+            for (key, n) in named {
+                *totals.entry(key).or_default() += n;
+                if n > 0 {
+                    want.insert(format!("mem.{unit}.t{tile}.{key}"), n);
+                }
+            }
+        }
+        for (key, n) in totals.into_iter().filter(|&(_, n)| n > 0) {
+            want.insert(format!("mem.total.{key}"), n);
+        }
+        let got: BTreeMap<_, _> =
+            dump.counters.into_iter().filter(|(k, _)| k.starts_with("mem.")).collect();
+        assert_eq!(got, want);
+        // The run took the paths it names: the forward, the dirty victim's
+        // writeback, and none at core 5.
+        assert_eq!(got["mem.l1.t0.l1_fwd_recv"], 1);
+        assert_eq!(got["mem.total.dir_c2c"], 1);
+        assert_eq!(got["mem.l1.t0.l1_wb_dirty"], 1);
+        assert!(!got.contains_key("mem.l1.t5.l1_wb_dirty"));
     }
 }

@@ -336,7 +336,6 @@ impl<T> MeshNoc<T> {
                 let (_, pkt) = q.remove(i).expect("index in range");
                 self.in_flight -= 1;
                 let lat = now.saturating_sub(pkt.injected_at);
-                self.stats.on_deliver(lat);
                 gstats::hist_record(self.lat_hists[pkt.class.index()], lat);
                 out.push(pkt);
             } else {

@@ -352,6 +352,19 @@ impl FaultStats {
     }
 }
 
+/// Field-wise totals over several injectors (all the directories, all the
+/// G-line networks).
+impl std::iter::Sum for FaultStats {
+    fn sum<I: Iterator<Item = FaultStats>>(iter: I) -> Self {
+        iter.fold(FaultStats::default(), |t, s| FaultStats {
+            decided: t.decided + s.decided,
+            dropped: t.dropped + s.dropped,
+            delayed: t.delayed + s.delayed,
+            duplicated: t.duplicated + s.duplicated,
+        })
+    }
+}
+
 /// The per-component decision maker. Holds only a monotone event counter —
 /// each verdict is re-derived from `(seed, site, stream, index)`, so
 /// cloning or re-creating an injector at the same index replays the exact

@@ -3,10 +3,9 @@
 //! This crate is deliberately dependency-free and contains the vocabulary of
 //! the simulated machine: identifiers ([`ids`]), the 2D-mesh floor plan
 //! ([`geom`]), the architectural configuration of the simulated CMP
-//! ([`config`], reproducing Table II of the paper), simple statistics
-//! containers ([`stats`]), a deterministic RNG ([`rng`]), the activity
-//! sets per-cycle loops walk ([`activity`]) and plain-text table rendering
-//! used by the experiment harness ([`table`]).
+//! ([`config`], reproducing Table II of the paper), a deterministic RNG
+//! ([`rng`]), the activity sets per-cycle loops walk ([`activity`]) and
+//! plain-text table rendering used by the experiment harness ([`table`]).
 
 pub mod activity;
 pub mod config;
@@ -15,7 +14,6 @@ pub mod geom;
 pub mod ids;
 pub mod rng;
 pub mod snap;
-pub mod stats;
 pub mod table;
 pub mod trace;
 

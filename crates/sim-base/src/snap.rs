@@ -101,7 +101,9 @@ pub const SNAP_MAGIC: u32 = 0x474C_534E;
 /// v3: one GLock driver for every GLock lock — a statically mapped lock
 /// now saves its tenure paths and fail-back controller even without a
 /// fault plan, and its scripts use the merged GLock driver's phase tags.
-pub const SNAP_VERSION: u32 = 3;
+/// v4: L1 and directory event counts are fixed fields instead of (key,
+/// value) pairs, and the NoC's traffic record lost its latency summary.
+pub const SNAP_VERSION: u32 = 4;
 
 /// Why a snapshot could not be written or read back.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -19,6 +19,6 @@ pub mod summary;
 pub use checker::{CheckerConfig, ProtocolChecker};
 pub use error::{CoreDiag, DiagnosticSnapshot, GlockDiag, LockDiag, SimError};
 pub use mapping::LockMapping;
-pub use report::{SimReport, TrafficSnapshot};
+pub use report::SimReport;
 pub use runner::{Simulation, SimulationOptions};
 pub use snapshot::Snapshot;

@@ -4,34 +4,8 @@
 use glocks::{GlockStats, PoolStats};
 use glocks_cpu::Breakdown;
 use glocks_energy::EnergyReport;
-use glocks_noc::{TrafficClass, TrafficStats};
+use glocks_noc::TrafficStats;
 use glocks_sim_base::Cycle;
-
-/// Network-traffic totals, frozen at the end of a run (Figure 9's bars).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TrafficSnapshot {
-    pub request_bytes: u64,
-    pub reply_bytes: u64,
-    pub coherence_bytes: u64,
-    pub total_messages: u64,
-    pub total_hops: u64,
-}
-
-impl TrafficSnapshot {
-    pub fn from_stats(s: &TrafficStats) -> Self {
-        TrafficSnapshot {
-            request_bytes: s.bytes(TrafficClass::Request),
-            reply_bytes: s.bytes(TrafficClass::Reply),
-            coherence_bytes: s.bytes(TrafficClass::Coherence),
-            total_messages: s.total_messages(),
-            total_hops: s.total_hops(),
-        }
-    }
-
-    pub fn total_bytes(&self) -> u64 {
-        self.request_bytes + self.reply_bytes + self.coherence_bytes
-    }
-}
 
 /// Everything measured over one parallel-phase run.
 #[derive(Clone, Debug)]
@@ -40,7 +14,8 @@ pub struct SimReport {
     pub cycles: Cycle,
     /// Per-thread cycle attribution (Busy / Memory / Lock / Barrier).
     pub breakdowns: Vec<Breakdown>,
-    pub traffic: TrafficSnapshot,
+    /// Network traffic by class (Figure 9's bars).
+    pub traffic: TrafficStats,
     pub energy: EnergyReport,
     /// Figure 10's metric: total energy × cycles².
     pub ed2p: f64,
@@ -104,22 +79,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn traffic_snapshot_totals() {
-        let mut s = TrafficStats::default();
-        s.on_link_traversal(TrafficClass::Request, 8);
-        s.on_link_traversal(TrafficClass::Reply, 72);
-        s.on_link_traversal(TrafficClass::Coherence, 8);
-        let snap = TrafficSnapshot::from_stats(&s);
-        assert_eq!(snap.total_bytes(), 88);
-        assert_eq!(snap.total_hops, 3);
-    }
-
-    #[test]
     fn aggregate_lcr_filters_by_grac() {
         let report = SimReport {
             cycles: 100,
             breakdowns: vec![],
-            traffic: TrafficSnapshot::default(),
+            traffic: TrafficStats::default(),
             energy: Default::default(),
             ed2p: 0.0,
             lcr: vec![vec![0.0, 0.1, 0.2, 0.3, 0.4]],

@@ -3,7 +3,7 @@
 use crate::checker::{CheckerConfig, ProtocolChecker};
 use crate::error::{CoreDiag, DiagnosticSnapshot, GlockDiag, LockDiag, SimError};
 use crate::mapping::LockMapping;
-use crate::report::{SimReport, TrafficSnapshot};
+use crate::report::SimReport;
 use crate::snapshot::Snapshot;
 use glocks::{GBarrierNetwork, GlockNetwork, GlockPool, Topology};
 use glocks_cpu::{
@@ -209,9 +209,6 @@ fn config_fingerprint(cfg: &CmpConfig, mapping: &LockMapping, options: &Simulati
         fp.mix_str(mapping.algo(LockId(i as u16)).name());
     }
     fp.mix_u64(options.max_cycles);
-    // Every run accounts with the paper's model; it stays in the digest so
-    // existing checkpoints keep their fingerprints.
-    fp.mix_str(&format!("{:?}", EnergyModel::paper_baseline()));
     fp.mix_u64(u64::from(options.force_hierarchical_glocks));
     match &options.barrier_partitions {
         None => fp.mix_u64(0),
@@ -992,7 +989,7 @@ impl Simulation {
 
         let n_locks = self.tracker.n_locks();
         let breakdowns: Vec<_> = self.cores.iter().map(|c| *c.breakdown()).collect();
-        let traffic = TrafficSnapshot::from_stats(self.mem.traffic());
+        let traffic = *self.mem.traffic();
         let instructions = breakdowns.iter().map(|b| b.instructions).sum();
         let live_core_cycles = self
             .cores
@@ -1011,8 +1008,11 @@ impl Simulation {
             n_tiles: self.cfg.num_cores,
             instructions,
             live_core_cycles,
-            mem_counters: self.mem.counters(),
-            noc_hops: traffic.total_hops,
+            l1_accesses: self.mem.l1_counts().map(|c| c.access).sum(),
+            l2_accesses: self.mem.dir_counts().map(|c| c.l2_access).sum(),
+            dir_txns: self.mem.dir_counts().map(|c| c.txn).sum(),
+            mem_accesses: self.mem.dir_counts().map(|c| c.mem_access).sum(),
+            noc_hops: traffic.total_hops(),
             noc_byte_hops: traffic.total_bytes(),
             gline_signals: glocks.iter().map(|g| g.signals).sum::<u64>() + gbarrier_signals,
             glock_controllers,
@@ -1072,20 +1072,13 @@ impl Simulation {
                 );
             };
             if plan.is_some_and(|p| p.gline.is_active()) {
-                let mut total = glocks_sim_base::fault::FaultStats::default();
-                for s in self.glock_nets.iter().filter_map(|n| n.fault_stats()) {
-                    total.decided += s.decided;
-                    total.dropped += s.dropped;
-                    total.delayed += s.delayed;
-                    total.duplicated += s.duplicated;
-                }
-                publish_site("gline", total);
+                publish_site("gline", self.glock_nets.iter().filter_map(|n| n.fault_stats()).sum());
             }
             if plan.is_some_and(|p| p.noc.is_active()) {
                 publish_site("noc", self.mem.noc_fault_stats().unwrap_or_default());
             }
             if plan.is_some_and(|p| p.dir.is_active()) {
-                publish_site("dir", self.mem.dir_fault_stats().unwrap_or_default());
+                publish_site("dir", self.mem.dir_fault_stats());
             }
             if let Some(ck) = &self.checker {
                 ck.publish_stats();

@@ -2,6 +2,7 @@
 //! simulator prints at the end of a run.
 
 use crate::report::SimReport;
+use glocks_noc::TrafficClass;
 use glocks_sim_base::table::{pct, stacked_bar};
 use std::fmt::Write as _;
 
@@ -30,10 +31,10 @@ pub fn render(report: &SimReport) -> String {
         out,
         "NoC traffic:    {} bytes ({} coherence / {} request / {} reply), {} messages",
         t.total_bytes(),
-        t.coherence_bytes,
-        t.request_bytes,
-        t.reply_bytes,
-        t.total_messages
+        t.bytes(TrafficClass::Coherence),
+        t.bytes(TrafficClass::Request),
+        t.bytes(TrafficClass::Reply),
+        t.total_messages()
     );
     let e = &report.energy;
     let _ = writeln!(

@@ -1,6 +1,7 @@
 //! The simulator must be bit-reproducible: identical configurations give
 //! identical cycle counts, traffic, energy, and contention profiles.
 
+use glocks_repro::noc::TrafficClass;
 use glocks_repro::prelude::*;
 use glocks_repro::workloads::Verifier;
 
@@ -59,10 +60,10 @@ fn mesh_figures(sim: Simulation, verify: Verifier) -> (Cycle, u64, [u64; 3], u64
     (
         report.cycles,
         report.acquires.iter().sum(),
-        [t.request_bytes, t.reply_bytes, t.coherence_bytes],
-        t.total_messages,
-        t.total_hops,
-        mem.counters().get("dir_txn"),
+        [TrafficClass::Request, TrafficClass::Reply, TrafficClass::Coherence].map(|c| t.bytes(c)),
+        t.total_messages(),
+        t.total_hops(),
+        mem.dir_counts().map(|c| c.txn).sum(),
     )
 }
 

@@ -184,30 +184,30 @@ fn symmetric_images(m: &Machine, what: &str, cycles: &[u64]) -> Vec<(u64, Snapsh
 }
 
 /// `(label, cycle, length, digest)` of every pinned image, recorded when
-/// `SNAP_VERSION` was 3.
+/// `SNAP_VERSION` was 4.
 const PINNED: &[(&str, u64, usize, u64)] = &[
-    ("SCTR/Simple", 7000, 88595, 0x2f244a9e43483893),
-    ("SCTR/TATAS", 7000, 89028, 0x33417824cac18b9a),
-    ("SCTR/TATAS-BO", 7000, 88846, 0x0eda6d563cb2b5e1),
-    ("SCTR/Ticket", 7000, 89035, 0x77a90cc7b63b14f2),
-    ("SCTR/Anderson", 7000, 90670, 0xd9031a8228be7c08),
-    ("SCTR/MCS", 7000, 90819, 0xf24668badb4892ae),
-    ("SCTR/Ideal", 7000, 88287, 0xeb7b3cac91d603c9),
-    ("SCTR/GLock", 7000, 89756, 0xfb21f7d23f950e80),
-    ("SCTR/MP-Lock", 7000, 88225, 0x2fb50ac4a25ce506),
-    ("SCTR/SB", 7000, 88243, 0xd6cab2eb75fa6b27),
-    ("SCTR/DynGLock", 7000, 91142, 0xe7dabe05ef41a8f6),
-    ("SCTR/Reactive", 7000, 89069, 0xd5079e6ec417ff0b),
-    ("MCTR/MCS", 7000, 91251, 0x1af5a8f8c2bd9c5f),
-    ("DBLL/MCS", 7000, 92421, 0xa7defa080425c6bf),
-    ("PRCO/MCS", 7000, 91505, 0xa67a388af718551d),
-    ("ACTR/MCS", 7000, 95199, 0xafa1fba20c3854fd),
-    ("RAYTR/MCS", 7000, 152937, 0xf4b443e362927e18),
-    ("OCEAN/MCS", 7000, 112623, 0x5bb47aaa0a281d46),
-    ("QSORT/MCS", 7000, 130279, 0x5c964b63ddf17217),
-    ("chaos/GLock", 50000, 92482, 0xbf5c0d9dc45e2f03),
-    ("chaos/DynGLock", 50000, 93892, 0x0e32c9be003918b3),
-    ("service/GLock", 6000, 93406, 0x8a52f306970118ed),
+    ("SCTR/Simple", 7000, 88353, 0x31f87f4e557bd646),
+    ("SCTR/TATAS", 7000, 88622, 0x9d701d4a76d09a1f),
+    ("SCTR/TATAS-BO", 7000, 88440, 0x74ea42460f1cb7fb),
+    ("SCTR/Ticket", 7000, 88517, 0x6b2115d3427c45a2),
+    ("SCTR/Anderson", 7000, 89286, 0xaf3188ce62352d6e),
+    ("SCTR/MCS", 7000, 89435, 0xdd7f07124076fa94),
+    ("SCTR/Ideal", 7000, 88093, 0xee4cb4cc39bf53da),
+    ("SCTR/GLock", 7000, 89562, 0x458b28644f7b1543),
+    ("SCTR/MP-Lock", 7000, 88031, 0xdfa68c2e43dc2fac),
+    ("SCTR/SB", 7000, 88049, 0x62599a59286ce364),
+    ("SCTR/DynGLock", 7000, 90948, 0x9b0ab3f56a5d5525),
+    ("SCTR/Reactive", 7000, 88663, 0x87217fb99faddb4e),
+    ("MCTR/MCS", 7000, 89867, 0x5c8b8df95510af5e),
+    ("DBLL/MCS", 7000, 90861, 0xd54254af0f65d0d8),
+    ("PRCO/MCS", 7000, 90099, 0x0c880a2007791408),
+    ("ACTR/MCS", 7000, 94009, 0xb20eef5c219ea327),
+    ("RAYTR/MCS", 7000, 151802, 0xaa4cb9a655144295),
+    ("OCEAN/MCS", 7000, 112287, 0x104ba2634ad0bd73),
+    ("QSORT/MCS", 7000, 129124, 0xe589f6aad864ad22),
+    ("chaos/GLock", 50000, 92288, 0xeb31c7ed4f38245f),
+    ("chaos/DynGLock", 50000, 93698, 0x4db78fb923ac5de2),
+    ("service/GLock", 6000, 93239, 0x7ae609ae9ec97eb8),
 ];
 
 fn pinned_machines() -> Vec<(String, Machine, u64)> {
@@ -228,7 +228,7 @@ fn pinned_machines() -> Vec<(String, Machine, u64)> {
 
 #[test]
 fn snapshot_images_match_the_pinned_format() {
-    assert_eq!(SNAP_VERSION, 3, "a format change re-records PINNED below");
+    assert_eq!(SNAP_VERSION, 4, "a format change re-records PINNED below");
     let mut got = Vec::new();
     for (label, m, cycle) in pinned_machines() {
         let mut sim = m.start();

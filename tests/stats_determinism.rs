@@ -34,25 +34,50 @@ fn dump_json(options: SimulationOptions) -> String {
         .to_json()
 }
 
-/// The committed golden dump is the `glocks-experiments stats` run of SCTR
-/// under GLocks on 8 cores. CI diffs it with tolerances; this test holds
-/// the simulator to it byte for byte, in tier-1.
+/// The committed golden dumps: the `glocks-experiments stats` run of SCTR
+/// under GLocks on 8 cores, and the `glocks-run --quick` dump of SCTR under
+/// MCS on 32 cores, which loads every L1, directory and NoC class. CI diffs
+/// the first with tolerances and compares the second byte for byte; this
+/// test holds the simulator to both byte for byte, in tier-1.
 #[test]
 fn golden_dump_is_reproduced_byte_for_byte() {
-    let golden = include_str!("golden/stats_SCTR_GLock_8t_0.json");
-    gstats::enable(gstats::StatsConfig::default());
-    let meta = [("experiment", "stats"), ("bench", "SCTR"), ("lock", "GLock"), ("threads", "8")];
-    for (key, value) in meta {
-        gstats::set_meta(key, value);
+    let cases = [
+        (
+            "stats_SCTR_GLock_8t_0.json",
+            include_str!("golden/stats_SCTR_GLock_8t_0.json"),
+            "stats",
+            LockAlgorithm::Glock,
+            8,
+        ),
+        (
+            "stats_SCTR_MCS_32t.json",
+            include_str!("golden/stats_SCTR_MCS_32t.json"),
+            "glocks-run",
+            LockAlgorithm::Mcs,
+            32,
+        ),
+    ];
+    for (file, golden, experiment, algo, threads) in cases {
+        gstats::enable(gstats::StatsConfig::default());
+        let threads_meta = threads.to_string();
+        let meta = [
+            ("experiment", experiment),
+            ("bench", "SCTR"),
+            ("lock", algo.name()),
+            ("threads", threads_meta.as_str()),
+        ];
+        for (key, value) in meta {
+            gstats::set_meta(key, value);
+        }
+        let report = sim_for(BenchKind::Sctr, algo, threads, Default::default());
+        gstats::disable();
+        let dump = report.stats.expect("stats session active, snapshot attached").to_json();
+        assert!(
+            dump == golden,
+            "the dump no longer matches tests/golden/{file} \
+             (`glocks-stats diff` names the keys that moved)"
+        );
     }
-    let report = sim_for(BenchKind::Sctr, LockAlgorithm::Glock, 8, Default::default());
-    gstats::disable();
-    let dump = report.stats.expect("stats session active, snapshot attached").to_json();
-    assert!(
-        dump == golden,
-        "the dump no longer matches tests/golden/stats_SCTR_GLock_8t_0.json \
-         (`glocks-stats diff` names the keys that moved)"
-    );
 }
 
 #[test]
@@ -96,7 +121,7 @@ fn event_driven_and_dense_loops_agree_across_workloads() {
         assert_eq!(skip.acquires, dense.acquires, "{kind:?}/{algo:?}");
         assert_eq!(skip.instructions(), dense.instructions(), "{kind:?}/{algo:?}");
         assert_eq!(
-            skip.traffic.total_messages, dense.traffic.total_messages,
+            skip.traffic.total_messages(), dense.traffic.total_messages(),
             "{kind:?}/{algo:?}"
         );
         for (a, b) in skip.breakdowns.iter().zip(&dense.breakdowns) {
@@ -195,7 +220,7 @@ fn enabling_stats_does_not_perturb_the_simulation() {
         assert_eq!(g_off.dropped, g_on.dropped);
         assert_eq!(g_off.retransmits, g_on.retransmits);
     }
-    assert_eq!(off.traffic.total_messages, on.traffic.total_messages);
+    assert_eq!(off.traffic.total_messages(), on.traffic.total_messages());
     assert_eq!(off.instructions(), on.instructions());
 
     // And the snapshot agrees with the report it rode in on.
@@ -230,7 +255,7 @@ fn enabling_the_checker_does_not_perturb_the_simulation() {
         assert_eq!(g_off.grants, g_on.grants);
         assert_eq!(g_off.signals, g_on.signals);
     }
-    assert_eq!(off.traffic.total_messages, on.traffic.total_messages);
+    assert_eq!(off.traffic.total_messages(), on.traffic.total_messages());
     assert_eq!(off.instructions(), on.instructions());
 
     // Dumps with the checker off must not grow checker keys...
